@@ -27,7 +27,6 @@ from .projection import (
     HypersimplexSpec,
     ProjectionResult,
     hard_topk,
-    kth_largest,
     project,
     project_bisect,
     project_rows,
@@ -70,7 +69,6 @@ __all__ = [
     "hypersimplex_loss",
     "hypersimplex_loss_multiclass",
     "jvp",
-    "kth_largest",
     "load_fashion_mnist",
     "load_idx",
     "loss_grad_from_residual",

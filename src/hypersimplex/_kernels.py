@@ -25,48 +25,129 @@ ENV_FLAG = "HYPERSIMPLEX_BACKEND"
 # Threshold solve for the box-constrained sum-k projection.
 #
 # Given u sorted descending, find theta with sum_i clip(u_i - theta, 0, 1) = k.
-# The clip sum g(theta) is piecewise linear and nonincreasing; its breakpoints
-# are the values u_i (coordinate leaves zero) and u_i - 1 (coordinate hits
-# one). Walking the breakpoints in decreasing order, g is evaluated exactly
-# from the running composition (a coordinates at one, [a, b) active), and the
-# first segment where g reaches k yields theta in closed form.
+# The clip sum is piecewise linear and nonincreasing in theta; its breakpoints
+# are the events u_i (coordinate i activates) and u_i - 1 (coordinate i hits
+# one). Walked in decreasing order, activations ahead of saturations at equal
+# value, each event t sees a composition: a coordinates at one, [a, b) active.
+# Then g = a + (P[b] - P[a]) - (b - a) * t is the clip sum at t, exact from the
+# prefix sums P, and the first event where g reaches k yields theta in closed
+# form. The scalar walk ``_theta_from_sorted_py`` does exactly that.
+#
+# The numpy kernel finds the same event without merging the two sequences.
+# Each kind is already in order, and g is nondecreasing along each, so a
+# 128-way search brackets a kind's first event that reaches k and one
+# vectorised pass over the 128 events below the bracket finds it; below
+# n = 128 the pass covers the whole sequence. Saturation j sees a = j, and
+# b, the activations at or above u_j - 1, is one searchsorted. So the
+# saturations are searched first. The activations that sit between
+# saturations j - 1 and j in the walk's order all see a = j, and only they
+# can come ahead of the first saturation j that reaches k. They are searched
+# second, with a fixed; their first hit, if any, is the walk's event, and
+# saturation j otherwise.
+#
+# Rounding makes g nondecreasing only to within ``tol``: the sequential prefix
+# sums are off by at most n * eps * sum|u| each, the per-event arithmetic by a
+# few eps * n * max|u|, and rounding u_j - 1 shifts g by eps * (max|u| + 1) per
+# saturation. So an event whose g lies more than tol below k proves that no
+# earlier event reaches k; a window widens until its first event does.
 # ---------------------------------------------------------------------------
+
+_WINDOW = 128
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def _theta_from_sorted_numpy(u_sorted, prefix, k):
-    """Vectorized breakpoint scan.
+    """Bracketed breakpoint scan.
 
-    Counts and running sums are gathered from the exact prefix array with
-    the same arithmetic as the scalar walk, so both backends take the same
-    branch even when the clip sum plateaus exactly at k and theta is a
-    whole interval.
+    Every event's g is formed with the same arithmetic as the scalar walk,
+    and the window check is exact, so both backends take the same branch
+    even when the clip sum plateaus exactly at k and theta is a whole
+    interval.
     """
     n = u_sorted.shape[0]
-    val = np.concatenate((u_sorted, u_sorted - 1.0))
-    act = np.zeros(2 * n, dtype=np.bool_)
-    act[:n] = True
-    # stable sort keeps activations ahead of saturations at equal values,
-    # matching the scalar walk's tie rule
-    order = np.argsort(-val, kind="stable")
-    val = val[order]
-    act = act[order]
+    act_asc = np.ascontiguousarray(u_sorted[::-1])
+    # twice the rounding error of g plus its drift; see the comment above
+    big = max(abs(float(act_asc[0])), abs(float(act_asc[-1])))
+    tol = 8.0 * _UNIT_ROUNDOFF * (n + 2) ** 2 * (big + 1.0)
 
-    act_i = act.astype(np.int64)
-    sat_i = 1 - act_i
-    b_before = np.cumsum(act_i) - act_i
-    a_before = np.cumsum(sat_i) - sat_i
-    s_before = prefix[b_before] - prefix[a_before]
-    m = b_before - a_before
+    def sat_g(idx):
+        # saturations j = idx, with b activations at or above t = u_j - 1
+        t = u_sorted[idx] - 1.0
+        b = n - act_asc.searchsorted(t, "left")
+        s = prefix[b] - prefix[idx]
+        m = b - idx
+        return idx + s - m * t, (idx, s, m, t)
 
-    g = a_before + s_before - m * val
-    hit = g >= k
-    if not hit.any():
-        # rounding can leave g just under k = n at the final event
-        return float(u_sorted[n - 1] - 1.0)
-    idx = int(np.argmax(hit))
-    if m[idx] > 0:
-        return float((a_before[idx] + s_before[idx] - k) / m[idx])
-    return float(val[idx])
+    j, g, sat, start = _first_hit(sat_g, 0, n, k, tol)
+    m_sat = sat[2]  # saturation j' sees b = j' + m activations
+    # only activations ahead of saturation j (all, if none reaches k) can
+    # come first in the walk
+    hi = j + int(m_sat[j - start]) if j < n else n
+    e = j - 1 - start
+    if j == 0 or g[e] < k - tol:
+        # nothing ahead of saturation j - 1 reaches k either; the activations
+        # between it and saturation j all see a = j
+        lo = j - 1 + int(m_sat[e]) if j > 0 else 0
+        sat_asc = None
+    else:
+        # saturation j - 1 misses k by less than rounding: search them all
+        lo = 0
+        sat_asc = u_sorted[:j][::-1] - 1.0
+
+    def act_g(idx):
+        # activations i = idx, with a saturations strictly above t = u_i
+        t = u_sorted[idx]
+        a = j if sat_asc is None else j - sat_asc.searchsorted(t, "right")
+        s = prefix[idx] - prefix[a]
+        m = idx - a
+        return a + s - m * t, (a, s, m, t)
+
+    if lo < hi:
+        i, _, act, start_a = _first_hit(act_g, lo, hi, k, tol)
+        if i < hi:
+            return _theta_at(act, i - start_a, k)
+    if j < n:
+        return _theta_at(sat, j - start, k)
+    # rounding can leave g just under k = n at the final event
+    return float(u_sorted[n - 1] - 1.0)
+
+
+def _first_hit(g_at, floor, hi, k, tol):
+    """First index in [floor, hi) whose event reaches k, or hi if none.
+
+    g_at(idx) gives the clip sums and compositions of one kind's events at
+    the indices idx; no event before floor reaches k. Also returns g and the
+    compositions on a window starting at ``start`` that holds the result
+    and, above floor, the index before it.
+    """
+    lo, end = floor, hi
+    while end - lo > _WINDOW:
+        # the probe at end reached k (end == hi: none did), lo - 1 missed
+        idx = np.linspace(lo, end - 1, _WINDOW).astype(np.int64)
+        hit = g_at(idx)[0] >= k
+        j = int(hit.argmax())
+        if hit[j]:
+            end = int(idx[j])
+        else:
+            j = _WINDOW
+        if j > 0:
+            lo = int(idx[j - 1]) + 1
+    start = max(end - _WINDOW, floor)
+    while True:
+        g, comp = g_at(np.arange(start, min(end + 1, hi)))
+        if start == floor or g[0] < k - tol:
+            break
+        start = max(2 * start - end, floor)
+    i = int((g >= k).argmax())
+    return (start + i if g[i] >= k else hi), g, comp, start
+
+
+def _theta_at(comp, e, k):
+    # theta in closed form on the segment that event e of a window opens
+    a, s, m, t = comp
+    if m[e] > 0:
+        return float(((a[e] if np.ndim(a) else a) + s[e] - k) / m[e])
+    return float(t[e])
 
 
 def _theta_from_sorted_py(u_sorted, prefix, k):
@@ -96,7 +177,8 @@ def _center_on_active_numpy(v, active_idx, n):
     out = np.zeros(n, dtype=np.float64)
     if active_idx.shape[0] > 0:
         va = v[active_idx]
-        out[active_idx] = va - va.mean()
+        va -= va.mean()
+        out[active_idx] = va
     return out
 
 

@@ -8,6 +8,8 @@ chain-rule factor is applied only in ``loss_grad_from_residual``, keeping
 the Jacobian itself a pure combinatorial object.
 """
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -18,7 +20,8 @@ def _as_tangent(v, n):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (n,):
         raise ValueError(f"tangent has shape {v.shape}, expected ({n},)")
-    if not np.all(np.isfinite(v)):
+    # min and max are NaN if any entry is, and infinite if any entry is
+    if not (math.isfinite(v.min()) and math.isfinite(v.max())):
         raise ValueError("tangent contains NaN or Inf")
     return v
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .backward import jvp
-from .projection import HypersimplexSpec, project
+from .projection import HypersimplexSpec, _prefix_sums, project
 
 DEFAULT_SIZES = tuple(2**p for p in range(14, 23))
 
@@ -65,10 +65,10 @@ def bench_projection(sizes, reps, seed=0, backends=None):
             u = x / spec.tau
             rows.append(
                 BenchRow("project_sort", name, n,
-                         _median_ns(lambda: np.argsort(-u, kind="stable"), reps))
+                         _median_ns(lambda: np.sort(u)[::-1], reps))
             )
-            u_sorted = u[np.argsort(-u, kind="stable")]
-            prefix = np.concatenate(([0.0], np.cumsum(u_sorted)))
+            u_sorted = np.sort(u)[::-1]
+            prefix = _prefix_sums(u_sorted)
             k = float(spec.k)
             rows.append(
                 BenchRow("project_theta_solve", name, n,

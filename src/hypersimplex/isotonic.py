@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .projection import HypersimplexSpec, _as_score_vector, _degenerate
+from .projection import HypersimplexSpec, _as_score_vector, _degenerate, _prefix_sums
 
 
 @dataclass
@@ -61,6 +61,5 @@ def project_sorted_via_isotonic(x_sorted_desc, spec, *, backend=None):
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
     fitted, _, _ = be.pav_decreasing(u)
-    prefix = np.concatenate(([0.0], np.cumsum(fitted)))
-    theta = be.theta_from_sorted(fitted, prefix, float(spec.k))
+    theta = be.theta_from_sorted(fitted, _prefix_sums(fitted), float(spec.k))
     return np.clip(fitted - theta, 0.0, 1.0)

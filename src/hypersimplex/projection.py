@@ -4,9 +4,9 @@ The hypersimplex is the polytope {y in [0,1]^n : sum(y) = k}. Projecting
 x / tau onto it gives a temperature-scaled, differentiable relaxation of
 the indicator of the k largest entries of x: the solution has the closed
 form y_i = clip(x_i / tau - theta, 0, 1) with theta chosen so the
-coordinates sum to k. ``project`` finds theta by an O(n log n) sorted
-breakpoint scan; ``project_bisect`` is an independent bisection solver
-kept for cross-checking.
+coordinates sum to k. ``project`` finds theta by an O(n log n) search over
+the breakpoints of the sorted scores; ``project_bisect`` is an independent
+bisection solver kept for cross-checking.
 """
 
 import math
@@ -84,20 +84,13 @@ def _as_score_vector(x, n=None):
         raise ValueError(f"expected a 1-D score vector, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("score vector must be non-empty")
-    if not np.all(np.isfinite(x)):
+    # min and max are NaN if any entry is, and infinite if any entry is
+    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
         raise ValueError("score vector contains NaN or Inf")
     if n is not None and x.size != n:
         raise ValueError(f"score vector has length {x.size}, spec.n is {n}")
     return x
 
-
-def kth_largest(x, k):
-    """k-th largest entry of x, duplicates counted with multiplicity."""
-    x = _as_score_vector(x)
-    n = x.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    return float(np.partition(x, n - k)[n - k])
 
 def hard_topk(x, k):
     """0/1 indicator of the k largest entries of x.
@@ -116,15 +109,25 @@ def hard_topk(x, k):
     return out
 
 
+def _prefix_sums(v):
+    """[0, v_0, v_0 + v_1, ...]: the n + 1 running sums the threshold solve
+    reads, accumulated left to right."""
+    prefix = np.empty(v.shape[0] + 1)
+    prefix[0] = 0.0
+    np.cumsum(v, out=prefix[1:])
+    return prefix
+
+
 def _classify(y, theta, spec):
     at_one = y >= 1.0 - BOUNDARY_TOL
     at_zero = y <= BOUNDARY_TOL
-    active = ~(at_one | at_zero)
+    active = np.logical_or(at_one, at_zero)
+    np.logical_not(active, out=active)
     return ProjectionResult(
         y=y,
-        active=np.flatnonzero(active),
-        at_one=np.flatnonzero(at_one),
-        at_zero=np.flatnonzero(at_zero),
+        active=active.nonzero()[0],
+        at_one=at_one.nonzero()[0],
+        at_zero=at_zero.nonzero()[0],
         theta=float(theta),
         spec=spec,
     )
@@ -141,19 +144,22 @@ def project(x, spec, *, backend=None):
     """Euclidean projection of x / tau onto {y in [0,1]^n : sum(y) = k}.
 
     Returns the unique minimizer of ||y - x/tau||^2 over the hypersimplex,
-    computed by sorting x / tau and scanning the breakpoints of the
-    piecewise-linear map theta -> sum(clip(x_i/tau - theta, 0, 1)) for the
-    segment where it equals k. O(n log n) total, dominated by the sort.
+    computed by sorting the values of x / tau and finding the first
+    breakpoint of the piecewise-linear map
+    theta -> sum(clip(x_i/tau - theta, 0, 1)) where it reaches k: a 128-way
+    search brackets that breakpoint and one vectorised pass over a window
+    of about 128 breakpoints pins it, without building the merged list of
+    all 2n breakpoints. O(n log n) total, dominated by the value sort.
     """
     be = _kernels.get_backend(backend)
     x = _as_score_vector(x, spec.n)
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
-    u_sorted = u[np.argsort(-u, kind="stable")]
-    prefix = np.concatenate(([0.0], np.cumsum(u_sorted)))
-    theta = be.theta_from_sorted(u_sorted, prefix, float(spec.k))
-    y = np.clip(u - theta, 0.0, 1.0)
+    u_sorted = np.sort(u)[::-1]
+    theta = be.theta_from_sorted(u_sorted, _prefix_sums(u_sorted), float(spec.k))
+    # u is ours: clip y into its buffer
+    y = np.clip(np.subtract(u, theta, out=u), 0.0, 1.0, out=u)
     return _classify(y, theta, spec)
 
 

@@ -13,10 +13,12 @@ from hypersimplex._kernels import (
     _center_on_active_py,
     _pav_decreasing_py,
     _theta_from_sorted_py,
+    _theta_from_sorted_numpy,
     available_backends,
     get_backend,
     warmup,
 )
+from hypersimplex.projection import BOUNDARY_TOL, _prefix_sums
 
 ALL_NAMES = available_backends()
 # The interpreted scalar walk that the numba flavour compiles. Without numba
@@ -82,6 +84,49 @@ class TestThetaFromSorted:
             for th in thetas[1:]:
                 assert abs(th - thetas[0]) <= 1e-12
             assert clip_sum(u, thetas[0]) == pytest.approx(k, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [65, 1000, 10**4, 10**5])
+    def test_large_n_matches_scalar_walk(self, n):
+        # sizes the n < 40 cases above never reach: above n = 128 a 128-way
+        # search brackets each window; inputs sorted and summed as in project
+        rng = np.random.default_rng(n)
+        inputs = {
+            "gaussian": rng.normal(0, 1, n),
+            "ties": np.round(rng.normal(0, 1, n) * 4.0) / 4.0,
+            "offset": 1e3 + rng.normal(0, 1, n),
+        }
+        for name, x in inputs.items():
+            for tau in (1e-3, 1.0, 10.0):
+                u_sorted = np.sort(x / tau)[::-1]
+                prefix = _prefix_sums(u_sorted)
+                for k in (1, n // 4, n - 1):
+                    case = (name, tau, k)
+                    th = _theta_from_sorted_numpy(u_sorted, prefix, float(k))
+                    th_ref = _theta_from_sorted_py(u_sorted, prefix, float(k))
+                    y = np.clip(u_sorted - th, 0.0, 1.0)
+                    y_ref = np.clip(u_sorted - th_ref, 0.0, 1.0)
+                    assert y.tobytes() == y_ref.tobytes(), case
+                    interior = (y > BOUNDARY_TOL) & (y < 1.0 - BOUNDARY_TOL)
+                    if interior.any():
+                        assert abs(th - th_ref) <= 1e-12, case
+
+    @pytest.mark.parametrize("level,n,k", [
+        (1.0 / 3.0, 3000, 300),
+        (0.1, 4000, 100),
+        # found by a seeded search: the first event that reaches k lies
+        # more than a window below the one the bracketing lands on
+        (0.6862394816939799, 3000, 43),
+        (0.11899844600539033, 10000, 2134),
+        (1.843007580560939, 1000, 12),
+    ])
+    def test_plateau_at_k_matches_scalar_walk(self, level, n, k):
+        # k entries at level + 1 over n - k tied at level: the clip sum equals
+        # k along the whole tied run, and rounding moves it to either side
+        u = np.full(n, level)
+        u[:k] += 1.0
+        prefix = _prefix_sums(u)
+        th = _theta_from_sorted_numpy(u, prefix, float(k))
+        assert th == _theta_from_sorted_py(u, prefix, float(k))
 
     def test_duplicate_values(self):
         u = np.array([2.0, 2.0, 2.0, 0.0])

@@ -5,7 +5,6 @@ from hypersimplex import (
     BOUNDARY_TOL,
     HypersimplexSpec,
     hard_topk,
-    kth_largest,
     project,
     project_bisect,
     project_rows,
@@ -52,23 +51,6 @@ class TestHypersimplexSpec:
             HypersimplexSpec(3.0, 1, 1.0)
         with pytest.raises(ValueError):
             HypersimplexSpec(3, 1.5, 1.0)
-
-
-class TestKthLargest:
-    def test_maximum(self):
-        assert kth_largest([0.1, 1.6, 1], 1) == 1.6
-
-    def test_second_largest(self):
-        assert kth_largest([0.1, 1.6, 1], 2) == 1.0
-
-    def test_duplicates_counted_with_multiplicity(self):
-        assert kth_largest([5, 5, 2], 2) == 5
-
-    def test_out_of_range_k(self):
-        with pytest.raises(ValueError):
-            kth_largest([1.0, 2.0], 0)
-        with pytest.raises(ValueError):
-            kth_largest([1.0, 2.0], 3)
 
 
 class TestHardTopk:
