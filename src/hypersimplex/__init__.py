@@ -8,7 +8,7 @@ brute-force verification oracles, isotonic regression, a desk-scale
 training harness and benchmarks, all behind the ``hypersimplex`` CLI.
 """
 
-from ._kernels import ENV_FLAG, available_backends, get_backend
+from ._kernels import get_backend
 from .backward import jvp, loss_grad_from_residual, vjp
 from .isotonic import IsotonicFit, pav_decreasing, project_sorted_via_isotonic
 from .losses import (
@@ -51,7 +51,6 @@ __all__ = [
     "BOUNDARY_TOL",
     "ClassBatch",
     "Dataset",
-    "ENV_FLAG",
     "HypersimplexSpec",
     "IsotonicFit",
     "LossEval",
@@ -60,7 +59,6 @@ __all__ = [
     "RunRecord",
     "SweepConfig",
     "TTestResult",
-    "available_backends",
     "cross_entropy_loss",
     "estimate_k_per_class",
     "get_backend",

@@ -1,24 +1,14 @@
-"""Hot numeric kernels, in two interchangeable flavors.
+"""Hot numeric kernels of the hypersimplex projection.
 
-The numba flavor JIT-compiles the inner loops; the numpy flavor is a
-vectorized fallback with identical semantics. The active flavor is chosen
-at import time from the HYPERSIMPLEX_BACKEND environment variable
-("numba" or "numpy", default numba when importable). Both stay accessible
-through ``get_backend`` so benchmarks can compare them in one process.
+``_theta_from_sorted_numpy`` solves for the clip threshold,
+``_center_on_active_numpy`` applies the Jacobian, and ``_pav_decreasing``
+is the pool-adjacent-violators loop behind the isotonic route. Each is the
+one implementation its callers use.
 """
 
-import os
+from types import SimpleNamespace
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional (the "numba" extra)
-    HAVE_NUMBA = False
-
-ENV_FLAG = "HYPERSIMPLEX_BACKEND"
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +50,7 @@ def _theta_from_sorted_numpy(u_sorted, prefix, k):
     """Bracketed breakpoint scan.
 
     Every event's g is formed with the same arithmetic as the scalar walk,
-    and the window check is exact, so both backends take the same branch
+    and the window check is exact, so kernel and walk take the same branch
     even when the clip sum plateaus exactly at k and theta is a whole
     interval.
     """
@@ -150,6 +140,17 @@ def _theta_at(comp, e, k):
     return float(t[e])
 
 
+def _center_on_active_numpy(v, active_idx, n):
+    out = np.zeros(n, dtype=np.float64)
+    if active_idx.shape[0] > 0:
+        va = v[active_idx]
+        va -= va.mean()
+        out[active_idx] = va
+    return out
+
+
+# Scalar reference implementations: the tests compare the numpy kernels
+# against these walks, so they stay as written, however slow.
 def _theta_from_sorted_py(u_sorted, prefix, k):
     # Two-pointer walk over breakpoints; a = coords pinned at one, [a, b) active.
     n = u_sorted.shape[0]
@@ -173,15 +174,6 @@ def _theta_from_sorted_py(u_sorted, prefix, k):
     return u_sorted[n - 1] - 1.0  # unreachable for 0 < k < n
 
 
-def _center_on_active_numpy(v, active_idx, n):
-    out = np.zeros(n, dtype=np.float64)
-    if active_idx.shape[0] > 0:
-        va = v[active_idx]
-        va -= va.mean()
-        out[active_idx] = va
-    return out
-
-
 def _center_on_active_py(v, active_idx, n):
     out = np.zeros(n, dtype=np.float64)
     m = active_idx.shape[0]
@@ -197,7 +189,7 @@ def _center_on_active_py(v, active_idx, n):
     return out
 
 
-def _pav_decreasing_py(v):
+def _pav_decreasing(v):
     # Stack of blocks as (running sum, count, start); merge while a block mean
     # rises above its left neighbor, which violates the nonincreasing fit.
     n = v.shape[0]
@@ -226,75 +218,13 @@ def _pav_decreasing_py(v):
     return fitted, starts[:nb].copy(), means
 
 
-if HAVE_NUMBA:
-    _theta_from_sorted_numba = njit(cache=True)(_theta_from_sorted_py)
-    _center_on_active_numba = njit(cache=True)(_center_on_active_py)
-    _pav_decreasing_numba = njit(cache=True)(_pav_decreasing_py)
+_NUMPY = SimpleNamespace(name="numpy")
 
 
-class Backend:
-    """Bundle of kernel implementations sharing one calling convention."""
+def get_backend():
+    """The kernel implementation in use: an object whose ``name`` is "numpy".
 
-    def __init__(self, name, theta_from_sorted, center_on_active, pav_decreasing):
-        self.name = name
-        self.theta_from_sorted = theta_from_sorted
-        self.center_on_active = center_on_active
-        self.pav_decreasing = pav_decreasing
-
-    def __repr__(self):
-        return f"Backend({self.name!r})"
-
-
-_BACKENDS = {
-    "numpy": Backend(
-        "numpy", _theta_from_sorted_numpy, _center_on_active_numpy, _pav_decreasing_py
-    )
-}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = Backend(
-        "numba", _theta_from_sorted_numba, _center_on_active_numba, _pav_decreasing_numba
-    )
-
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name=None):
-    """Resolve a backend by name; None means the active (env-selected) one."""
-    if name is None:
-        return ACTIVE
-    if isinstance(name, Backend):
-        return name
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        )
-    return _BACKENDS[name]
-
-
-def _select_active():
-    requested = os.environ.get(ENV_FLAG, "").strip().lower()
-    if requested in ("", "auto"):
-        return _BACKENDS["numba"] if HAVE_NUMBA else _BACKENDS["numpy"]
-    if requested not in _BACKENDS:
-        raise ValueError(
-            f"{ENV_FLAG}={requested!r} not recognized; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return _BACKENDS[requested]
-
-
-ACTIVE = _select_active()
-
-
-def warmup():
-    """Trigger JIT compilation of the numba kernels (no-op for numpy)."""
-    if not HAVE_NUMBA:
-        return
-    u = np.array([2.0, 1.0, 0.0])
-    prefix = np.array([0.0, 2.0, 3.0, 3.0])
-    be = _BACKENDS["numba"]
-    be.theta_from_sorted(u, prefix, 1.0)
-    be.center_on_active(u, np.array([0, 1], dtype=np.int64), 3)
-    be.pav_decreasing(u)
+    There is only one implementation. This exists because the benchmark
+    records the name in the metadata of every run.
+    """
+    return _NUMPY

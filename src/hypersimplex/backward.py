@@ -26,7 +26,7 @@ def _as_tangent(v, n):
     return v
 
 
-def jvp(result, v, *, backend=None):
+def jvp(result, v):
     """Jacobian-vector product (d y / d u) v at a computed projection.
 
     Active coordinates receive v centered over the active set; saturated
@@ -35,17 +35,16 @@ def jvp(result, v, *, backend=None):
     """
     if not isinstance(result, ProjectionResult):
         raise TypeError("result must come from a projection solve")
-    be = _kernels.get_backend(backend)
     v = _as_tangent(v, result.spec.n)
-    return be.center_on_active(v, result.active, result.spec.n)
+    return _kernels._center_on_active_numpy(v, result.active, result.spec.n)
 
 
-def vjp(result, u, *, backend=None):
+def vjp(result, u):
     """Vector-Jacobian product u^T (d y / d u); equals jvp since J = J^T."""
-    return jvp(result, u, backend=backend)
+    return jvp(result, u)
 
 
-def loss_grad_from_residual(result, residual, tau, *, backend=None):
+def loss_grad_from_residual(result, residual, tau):
     """Gradient of (1/2)||y_hat - target||^2 with respect to the raw scores x.
 
     residual is y_hat - target. Chains the squared-loss gradient through
@@ -56,4 +55,4 @@ def loss_grad_from_residual(result, residual, tau, *, backend=None):
     tau = float(tau)
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    return jvp(result, residual, backend=backend) / tau
+    return jvp(result, residual) / tau

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels, bench
+from . import bench
 from .projection import HypersimplexSpec, hard_topk, project
 from .trainer import (
     SweepConfig,
@@ -56,7 +56,7 @@ def cmd_project(args):
         print(json.dumps({"y": y.tolist(), "k": int(args.k)}))
         return 0
     spec = HypersimplexSpec(x.size, args.k, args.tau)
-    res = project(x, spec, backend=args.backend)
+    res = project(x, spec)
     out = {
         "y": res.y.tolist(),
         "theta": res.theta,
@@ -104,9 +104,7 @@ def cmd_bench(args):
     for op in ops:
         if op not in ("project", "jvp", "pav"):
             raise UsageError(f"unknown bench op {op!r}")
-    backends = None if args.backend == "all" else args.backend
-    rows = bench.run_bench(sizes=sizes, reps=args.reps, seed=args.seed,
-                           ops=ops, backends=backends)
+    rows = bench.run_bench(sizes=sizes, reps=args.reps, seed=args.seed, ops=ops)
     lines = list(bench.rows_to_csv_lines(rows))
     if args.out:
         with open(args.out, "w") as fh:
@@ -114,8 +112,8 @@ def cmd_bench(args):
     else:
         for line in lines:
             print(line)
-    for op, backend, n_small, ratio in bench.doubling_ratios(rows):
-        print(f"# doubling {op} {backend} n={n_small}->{2 * n_small}: {ratio:.2f}x")
+    for op, n_small, ratio in bench.doubling_ratios(rows):
+        print(f"# doubling {op} n={n_small}->{2 * n_small}: {ratio:.2f}x")
     return 0
 
 
@@ -184,8 +182,6 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True, help="cardinality target")
     p.add_argument("--tau", type=float, default=1.0, help="temperature (default 1)")
     p.add_argument("--hard", action="store_true", help="print hard top-k instead")
-    p.add_argument("--backend", choices=_kernels.available_backends(), default=None,
-                   help="kernel backend (default: active one)")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("verify", help="run the randomized property suite")
@@ -214,9 +210,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ops", default="project,jvp,pav",
                    help="subset of project,jvp,pav (default all)")
-    p.add_argument("--backend", default="all",
-                   choices=("all",) + _kernels.available_backends(),
-                   help="backend(s) to time (default all)")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 

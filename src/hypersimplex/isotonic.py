@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .projection import HypersimplexSpec, _as_score_vector, _degenerate, _prefix_sums
+from .projection import _as_score_vector, _check_scaled, _degenerate, _prefix_sums
 
 
 @dataclass
@@ -29,21 +29,20 @@ class IsotonicFit:
     blocks: list
 
 
-def pav_decreasing(v, *, backend=None):
+def pav_decreasing(v):
     """Nonincreasing isotonic regression of v.
 
     Returns the unique minimizer of ||v - w||^2 over nonincreasing w,
     computed by stack-based pooling in one pass.
     """
-    be = _kernels.get_backend(backend)
     v = _as_score_vector(v)
-    fitted, starts, means = be.pav_decreasing(v)
+    fitted, starts, means = _kernels._pav_decreasing(v)
     ends = np.append(starts[1:], v.size)
     blocks = [(int(s), int(e), float(m)) for s, e, m in zip(starts, ends, means)]
     return IsotonicFit(fitted=fitted, blocks=blocks)
 
 
-def project_sorted_via_isotonic(x_sorted_desc, spec, *, backend=None):
+def project_sorted_via_isotonic(x_sorted_desc, spec):
     """Hypersimplex projection of an already-sorted (nonincreasing) vector.
 
     Solves min ||x/tau - y||^2 over {y in [0,1]^n, sum(y) = k, y
@@ -53,13 +52,14 @@ def project_sorted_via_isotonic(x_sorted_desc, spec, *, backend=None):
     explicit and costs O(n)). Equals the general projection on sorted
     input. Rejects unsorted input.
     """
-    be = _kernels.get_backend(backend)
     x = _as_score_vector(x_sorted_desc, spec.n)
     if np.any(np.diff(x) > 0.0):
         raise ValueError("input must be sorted nonincreasing")
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
-    fitted, _, _ = be.pav_decreasing(u)
-    theta = be.theta_from_sorted(fitted, _prefix_sums(fitted), float(spec.k))
+    _check_scaled(u[0], u[-1])
+    fitted, _, _ = _kernels._pav_decreasing(u)
+    theta = _kernels._theta_from_sorted_numpy(
+        fitted, _prefix_sums(fitted), float(spec.k))
     return np.clip(fitted - theta, 0.0, 1.0)

@@ -133,14 +133,22 @@ def _classify(y, theta, spec):
     )
 
 
+def _check_scaled(u_max, u_min):
+    # finite x still overflows x / tau when tau is tiny
+    if not (math.isfinite(u_max) and math.isfinite(u_min)):
+        raise ValueError("x / tau overflows float64; raise tau or rescale x")
+
+
 def _degenerate(u, spec):
     # k = 0 and k = n are hypersimplex "corners" with an exact answer.
+    u_max, u_min = np.max(u), np.min(u)
+    _check_scaled(u_max, u_min)
     if spec.k == 0:
-        return _classify(np.zeros(spec.n), np.max(u), spec)
-    return _classify(np.ones(spec.n), np.min(u) - 1.0, spec)
+        return _classify(np.zeros(spec.n), u_max, spec)
+    return _classify(np.ones(spec.n), u_min - 1.0, spec)
 
 
-def project(x, spec, *, backend=None):
+def project(x, spec):
     """Euclidean projection of x / tau onto {y in [0,1]^n : sum(y) = k}.
 
     Returns the unique minimizer of ||y - x/tau||^2 over the hypersimplex,
@@ -151,13 +159,14 @@ def project(x, spec, *, backend=None):
     of about 128 breakpoints pins it, without building the merged list of
     all 2n breakpoints. O(n log n) total, dominated by the value sort.
     """
-    be = _kernels.get_backend(backend)
     x = _as_score_vector(x, spec.n)
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
     u_sorted = np.sort(u)[::-1]
-    theta = be.theta_from_sorted(u_sorted, _prefix_sums(u_sorted), float(spec.k))
+    _check_scaled(u_sorted[0], u_sorted[-1])
+    theta = _kernels._theta_from_sorted_numpy(
+        u_sorted, _prefix_sums(u_sorted), float(spec.k))
     # u is ours: clip y into its buffer
     y = np.clip(np.subtract(u, theta, out=u), 0.0, 1.0, out=u)
     return _classify(y, theta, spec)
@@ -180,6 +189,7 @@ def project_bisect(x, spec, tol=1e-12):
     k = float(spec.k)
     lo = float(np.min(u)) - 1.0  # clip sum = n here
     hi = float(np.max(u))  # clip sum = 0 here
+    _check_scaled(hi, lo)
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -209,7 +219,7 @@ def project_bisect(x, spec, tol=1e-12):
     return _classify(y, theta, spec)
 
 
-def project_rows(X, k, tau, *, backend=None):
+def project_rows(X, k, tau):
     """Row-wise projection of a matrix; returns (Y, thetas).
 
     Each row is projected independently with the same (k, tau), so rows may
@@ -222,7 +232,7 @@ def project_rows(X, k, tau, *, backend=None):
     Y = np.empty_like(X)
     thetas = np.empty(X.shape[0])
     for i in range(X.shape[0]):
-        res = project(X[i], spec, backend=backend)
+        res = project(X[i], spec)
         Y[i] = res.y
         thetas[i] = res.theta
     return Y, thetas

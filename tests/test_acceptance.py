@@ -20,7 +20,6 @@ from hypersimplex import (
     project,
     project_sorted_via_isotonic,
 )
-from hypersimplex._kernels import ACTIVE, warmup
 from hypersimplex.bench import doubling_ratios, run_bench
 from hypersimplex.cli import main
 from hypersimplex.trainer import (
@@ -167,12 +166,10 @@ def test_criterion_6_isotonic_reduction(capsys):
 
 
 def test_criterion_7_complexity(capsys):
-    rows = run_bench(sizes=(2**20, 2**21), reps=20, seed=0,
-                     ops=("project", "jvp"), backends=ACTIVE.name)
-    ratios = {op: ratio for op, backend, n_small, ratio in doubling_ratios(rows)
+    rows = run_bench(sizes=(2**20, 2**21), reps=20, seed=0, ops=("project", "jvp"))
+    ratios = {op: ratio for op, n_small, ratio in doubling_ratios(rows)
               if op in ("project", "jvp")}
 
-    warmup()
     rng = np.random.default_rng(7)
     x = rng.normal(0, 1, 10**6)
     spec = HypersimplexSpec(10**6, 10**6 // 4, 1.0)
@@ -186,7 +183,7 @@ def test_criterion_7_complexity(capsys):
     time_ok = elapsed < 1.0
     ok = fwd_ok and bwd_ok and time_ok
     verdict(capsys, 7, ok, "complexity scaling",
-            f"{ACTIVE.name} doubling 2^20->2^21: project {ratios['project']:.2f}x "
+            f"doubling 2^20->2^21: project {ratios['project']:.2f}x "
             f"(band [1.8, 2.6]), jvp {ratios['jvp']:.2f}x (band [1.7, 2.4]); "
             f"n=1e6 project {elapsed * 1000:.0f}ms (< 1s)")
     assert fwd_ok, ratios
@@ -275,9 +272,9 @@ def test_criterion_9_cli_determinism(capsys, full_sweep, tmp_path):
     # the timing column is the documented exception
     def bench_structure():
         assert main(["bench", "--sizes", "4096,8192", "--reps", "2",
-                     "--ops", "pav", "--backend", "numpy"]) == 0
+                     "--ops", "pav"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        return [",".join(line.split(",")[:3]) for line in lines
+        return [",".join(line.split(",")[:2]) for line in lines
                 if not line.startswith("#")]
 
     bench_ok = bench_structure() == bench_structure()

@@ -1,33 +1,15 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+import hypersimplex as hs
 from hypersimplex._kernels import (
-    ACTIVE,
-    ENV_FLAG,
-    HAVE_NUMBA,
-    Backend,
+    _center_on_active_numpy,
     _center_on_active_py,
-    _pav_decreasing_py,
-    _theta_from_sorted_py,
+    _pav_decreasing,
     _theta_from_sorted_numpy,
-    available_backends,
-    get_backend,
-    warmup,
+    _theta_from_sorted_py,
 )
 from hypersimplex.projection import BOUNDARY_TOL, _prefix_sums
-
-ALL_NAMES = available_backends()
-# The interpreted scalar walk that the numba flavour compiles. Without numba
-# the registry holds numpy alone, so agreement tests add this flavour to
-# compare the numpy kernels with something other than themselves.
-REFERENCE = Backend(
-    "reference", _theta_from_sorted_py, _center_on_active_py, _pav_decreasing_py
-)
-AGREEMENT_FLAVOURS = [get_backend(name) for name in ALL_NAMES] + [REFERENCE]
 
 
 def sorted_case(rng, n):
@@ -40,36 +22,9 @@ def clip_sum(u, theta):
     return float(np.sum(np.clip(u - theta, 0.0, 1.0)))
 
 
-class TestBackendRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in ALL_NAMES
-
-    def test_numba_listed_when_importable(self):
-        assert ("numba" in ALL_NAMES) == HAVE_NUMBA
-
-    def test_names_sorted(self):
-        assert list(ALL_NAMES) == sorted(ALL_NAMES)
-
-    def test_get_backend_roundtrip(self):
-        for name in ALL_NAMES:
-            be = get_backend(name)
-            assert isinstance(be, Backend)
-            assert be.name == name
-            assert get_backend(be) is be
-
-    def test_get_backend_default_is_active(self):
-        assert get_backend() is ACTIVE
-        assert get_backend(None) is ACTIVE
-
-    def test_get_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("fortran")
-
-    def test_repr_names_the_backend(self):
-        assert ACTIVE.name in repr(ACTIVE)
-
-    def test_warmup_runs(self):
-        warmup()
+def test_get_backend_names_numpy():
+    # the benchmark records this name in the metadata of every run
+    assert hs.get_backend().name == "numpy"
 
 
 class TestThetaFromSorted:
@@ -79,11 +34,9 @@ class TestThetaFromSorted:
             n = int(rng.integers(2, 40))
             u, prefix = sorted_case(rng, n)
             k = float(rng.integers(0, n + 1))
-            thetas = [be.theta_from_sorted(u, prefix, k)
-                      for be in AGREEMENT_FLAVOURS]
-            for th in thetas[1:]:
-                assert abs(th - thetas[0]) <= 1e-12
-            assert clip_sum(u, thetas[0]) == pytest.approx(k, abs=1e-9)
+            th = _theta_from_sorted_numpy(u, prefix, k)
+            assert abs(th - _theta_from_sorted_py(u, prefix, k)) <= 1e-12
+            assert clip_sum(u, th) == pytest.approx(k, abs=1e-9)
 
     @pytest.mark.parametrize("n", [65, 1000, 10**4, 10**5])
     def test_large_n_matches_scalar_walk(self, n):
@@ -131,17 +84,15 @@ class TestThetaFromSorted:
     def test_duplicate_values(self):
         u = np.array([2.0, 2.0, 2.0, 0.0])
         prefix = np.concatenate(([0.0], np.cumsum(u)))
-        for name in ALL_NAMES:
-            th = get_backend(name).theta_from_sorted(u, prefix, 2.0)
-            assert clip_sum(u, th) == pytest.approx(2.0, abs=1e-12)
+        th = _theta_from_sorted_numpy(u, prefix, 2.0)
+        assert clip_sum(u, th) == pytest.approx(2.0, abs=1e-12)
 
     def test_interior_fractional_segment(self):
         # clip(u - theta) is strictly between 0 and 1 for the middle entries
         u = np.array([3.0, 1.0, 0.5, -2.0])
         prefix = np.concatenate(([0.0], np.cumsum(u)))
-        for name in ALL_NAMES:
-            th = get_backend(name).theta_from_sorted(u, prefix, 2.0)
-            assert th == pytest.approx(0.25, abs=1e-12)
+        th = _theta_from_sorted_numpy(u, prefix, 2.0)
+        assert th == pytest.approx(0.25, abs=1e-12)
 
 
 class TestCenterOnActive:
@@ -152,89 +103,29 @@ class TestCenterOnActive:
             v = rng.normal(0, 2, n)
             m = int(rng.integers(0, n + 1))
             active = np.sort(rng.permutation(n)[:m]).astype(np.int64)
-            outs = [be.center_on_active(v, active, n)
-                    for be in AGREEMENT_FLAVOURS]
-            for out in outs[1:]:
-                np.testing.assert_allclose(out, outs[0], atol=1e-15)
+            np.testing.assert_allclose(_center_on_active_numpy(v, active, n),
+                                       _center_on_active_py(v, active, n),
+                                       atol=1e-15)
 
     def test_zero_mean_on_active_and_zero_off_active(self):
         rng = np.random.default_rng(82)
         v = rng.normal(0, 1, 10)
         active = np.array([1, 4, 7], dtype=np.int64)
-        for name in ALL_NAMES:
-            out = get_backend(name).center_on_active(v, active, 10)
-            assert out[active].sum() == pytest.approx(0.0, abs=1e-12)
-            mask = np.ones(10, dtype=bool)
-            mask[active] = False
-            np.testing.assert_array_equal(out[mask], 0.0)
+        out = _center_on_active_numpy(v, active, 10)
+        assert out[active].sum() == pytest.approx(0.0, abs=1e-12)
+        mask = np.ones(10, dtype=bool)
+        mask[active] = False
+        np.testing.assert_array_equal(out[mask], 0.0)
 
     def test_empty_active_set(self):
-        for name in ALL_NAMES:
-            out = get_backend(name).center_on_active(
-                np.array([1.0, 2.0]), np.empty(0, dtype=np.int64), 2)
-            np.testing.assert_array_equal(out, [0.0, 0.0])
+        out = _center_on_active_numpy(
+            np.array([1.0, 2.0]), np.empty(0, dtype=np.int64), 2)
+        np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
 class TestPavDecreasing:
-    def test_backends_agree(self):
-        rng = np.random.default_rng(83)
-        for _ in range(200):
-            n = int(rng.integers(1, 30))
-            v = rng.normal(0, 2, n)
-            results = [get_backend(name).pav_decreasing(v) for name in ALL_NAMES]
-            fit0, starts0, means0 = results[0]
-            for fit, starts, means in results[1:]:
-                np.testing.assert_allclose(fit, fit0, atol=1e-14)
-                np.testing.assert_array_equal(starts, starts0)
-                np.testing.assert_allclose(means, means0, atol=1e-14)
-
     def test_pooling_example(self):
-        for name in ALL_NAMES:
-            fit, starts, means = get_backend(name).pav_decreasing(
-                np.array([3.0, 1.0, 2.0]))
-            np.testing.assert_allclose(fit, [3.0, 1.5, 1.5], atol=1e-15)
-            assert list(starts) == [0, 1]
-            np.testing.assert_allclose(means, [3.0, 1.5], atol=1e-15)
-
-
-class TestEnvFlagSelection:
-    def run_child(self, flag_value):
-        env = dict(os.environ)
-        if flag_value is None:
-            env.pop(ENV_FLAG, None)
-        else:
-            env[ENV_FLAG] = flag_value
-        return subprocess.run(
-            [sys.executable, "-c",
-             "from hypersimplex._kernels import ACTIVE; print(ACTIVE.name)"],
-            capture_output=True, text=True, env=env,
-        )
-
-    def test_numpy_forced(self):
-        proc = self.run_child("numpy")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "numpy"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_forced(self):
-        proc = self.run_child("numba")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "numba"
-
-    def test_default_prefers_numba_when_present(self):
-        proc = self.run_child(None)
-        assert proc.returncode == 0, proc.stderr
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert proc.stdout.strip() == expected
-
-    def test_auto_matches_default(self):
-        proc = self.run_child("auto")
-        assert proc.returncode == 0, proc.stderr
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert proc.stdout.strip() == expected
-
-    def test_unknown_value_fails_import(self):
-        proc = self.run_child("fortran")
-        assert proc.returncode != 0
-        assert ENV_FLAG in proc.stderr
-        assert "not recognized" in proc.stderr
+        fit, starts, means = _pav_decreasing(np.array([3.0, 1.0, 2.0]))
+        np.testing.assert_allclose(fit, [3.0, 1.5, 1.5], atol=1e-15)
+        assert list(starts) == [0, 1]
+        np.testing.assert_allclose(means, [3.0, 1.5], atol=1e-15)

@@ -9,19 +9,8 @@ from hypersimplex import (
     project_bisect,
     project_rows,
 )
-from hypersimplex._kernels import (
-    HAVE_NUMBA,
-    Backend,
-    _center_on_active_py,
-    _pav_decreasing_py,
-    _theta_from_sorted_py,
-)
-
-# The interpreted scalar walk that the numba flavour compiles; the numpy
-# scan must match it whether or not numba is installed.
-REFERENCE = Backend(
-    "reference", _theta_from_sorted_py, _center_on_active_py, _pav_decreasing_py
-)
+from hypersimplex._kernels import _theta_from_sorted_py
+from hypersimplex.projection import _prefix_sums
 
 
 class TestHypersimplexSpec:
@@ -209,20 +198,26 @@ class TestProject:
             )
 
     def test_backends_agree(self):
-        others = [REFERENCE] + (["numba"] if HAVE_NUMBA else [])
+        # the projection against the clip at the scalar walk's threshold
         rng = np.random.default_rng(17)
         for _ in range(200):
             n = int(rng.integers(2, 40))
             spec = HypersimplexSpec(n, int(rng.integers(0, n + 1)), 1.3)
             x = rng.normal(0, 2, n)
-            ya = project(x, spec, backend="numpy").y
-            for other in others:
-                yb = project(x, spec, backend=other).y
-                np.testing.assert_allclose(ya, yb, atol=1e-12)
+            u = x / spec.tau
+            u_sorted = np.sort(u)[::-1]
+            theta_ref = _theta_from_sorted_py(
+                u_sorted, _prefix_sums(u_sorted), float(spec.k))
+            np.testing.assert_allclose(
+                project(x, spec).y, np.clip(u - theta_ref, 0.0, 1.0), atol=1e-12)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            project(np.array([1.0, 0.0]), HypersimplexSpec(2, 1, 1.0), backend="cuda")
+    @pytest.mark.parametrize("solver", [project, project_bisect])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("x", [[1e300, 1e300, 0.0], [1e300, -1e300, 0.0]])
+    def test_overflowing_scaled_input_rejected(self, solver, k, x):
+        # finite scores whose x / tau overflows float64
+        with pytest.raises(ValueError, match="overflows"):
+            solver(np.array(x), HypersimplexSpec(3, k, 1e-10))
 
 
 class TestProjectBisect:
