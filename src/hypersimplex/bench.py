@@ -83,7 +83,8 @@ def bench_pav(sizes, reps, seed=0):
     return rows
 
 
-def run_bench(sizes=DEFAULT_SIZES, reps=5, seed=0, ops=("project", "jvp", "pav")):
+def run_bench(sizes=DEFAULT_SIZES, reps=5, seed=0, ops=("project", "jvp")):
+    """Rows for each op in ops; pav (an interpreted loop) runs only when asked."""
     rows = []
     if "project" in ops:
         rows.extend(bench_projection(sizes, reps, seed))

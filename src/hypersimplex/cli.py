@@ -208,8 +208,9 @@ def _build_parser():
                    help="comma-separated n values (default 2^14..2^22)")
     p.add_argument("--reps", type=int, default=5, help="repetitions per point (default 5)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ops", default="project,jvp,pav",
-                   help="subset of project,jvp,pav (default all)")
+    p.add_argument("--ops", default="project,jvp",
+                   help="subset of project,jvp,pav (default project,jvp; the "
+                        "interpreted pav loop takes minutes on the default sizes)")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 

@@ -20,6 +20,16 @@ from . import _kernels
 BOUNDARY_TOL = 1e-12
 
 
+def _as_cardinality(k, n):
+    """k as a Python int in [0, n]; bools and non-integers are rejected."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    k = int(k)
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class HypersimplexSpec:
     """Dimension n, target cardinality k and temperature tau of a projection.
@@ -38,15 +48,11 @@ class HypersimplexSpec:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise ValueError(f"n must be an integer, got {self.n!r}")
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "tau", float(self.tau))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"k must be in [0, {self.n}], got {self.k}")
+        object.__setattr__(self, "k", _as_cardinality(self.k, self.n))
+        object.__setattr__(self, "tau", float(self.tau))
         if not (self.tau > 0.0 and math.isfinite(self.tau)):  # also rejects NaN
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
@@ -100,8 +106,7 @@ def hard_topk(x, k):
     """
     x = _as_score_vector(x)
     n = x.size
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
+    k = _as_cardinality(k, n)
     out = np.zeros(n, dtype=np.int64)
     if k > 0:
         # stable argsort of -x keeps ascending index order among ties

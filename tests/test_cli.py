@@ -161,6 +161,13 @@ class TestBenchCommand:
         assert len(content) == 3
         assert all(line.startswith("#") for line in out.strip().splitlines())
 
+    def test_default_ops_leave_out_pav(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "512,1024", "--reps", "1")
+        assert code == 0
+        data = [line for line in out.strip().splitlines() if not line.startswith("#")][1:]
+        assert {line.split(",")[0] for line in data} == {
+            "project", "project_sort", "project_theta_solve", "jvp"}
+
     def test_unknown_op(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--ops", "matmul")
         assert code == 2

@@ -56,6 +56,14 @@ class TestHardTopk:
         assert hard_topk([1, 1, 0], 1).tolist() == [1, 0, 0]
         assert hard_topk([0, 2, 2, 2], 2).tolist() == [0, 1, 1, 0]
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, False, "1", None])
+    def test_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hard_topk([3.0, 1.0, 2.0], k)
+
+    def test_accepts_numpy_integer_k(self):
+        assert hard_topk([3.0, 1.0, 2.0], np.int64(2)).tolist() == [1, 0, 1]
+
     def test_always_selects_exactly_k(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
