@@ -53,6 +53,6 @@ def loss_grad_from_residual(result, residual, tau):
     saturated coordinates as constant.
     """
     tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    if not (tau > 0.0 and math.isfinite(tau)):  # also rejects NaN
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return jvp(result, residual) / tau

@@ -83,15 +83,22 @@ def bench_pav(sizes, reps, seed=0):
     return rows
 
 
+# Every bench op, in the order its rows are emitted.
+OPS = {"project": bench_projection, "jvp": bench_jvp, "pav": bench_pav}
+
+
 def run_bench(sizes=DEFAULT_SIZES, reps=5, seed=0, ops=("project", "jvp")):
-    """Rows for each op in ops; pav (an interpreted loop) runs only when asked."""
+    """Rows for each op in ops, in OPS order; pav (an interpreted loop) runs
+    only when asked. Unknown ops and reps < 1 raise ValueError."""
+    for op in ops:
+        if op not in OPS:
+            raise ValueError(f"unknown bench op {op!r}; expected some of {', '.join(OPS)}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     rows = []
-    if "project" in ops:
-        rows.extend(bench_projection(sizes, reps, seed))
-    if "jvp" in ops:
-        rows.extend(bench_jvp(sizes, reps, seed))
-    if "pav" in ops:
-        rows.extend(bench_pav(sizes, reps, seed))
+    for op, bench_op in OPS.items():
+        if op in ops:
+            rows.extend(bench_op(sizes, reps, seed))
     return rows
 
 

@@ -32,6 +32,9 @@ from .projection import (
 # 3^n patterns are enumerated; beyond this n the oracle refuses to run.
 MAX_ORACLE_N = 12
 
+# Patterns scored per vectorised step of brute_force_project.
+_CHUNK = 65536
+
 _ZERO, _ACTIVE, _ONE = 0, 1, 2
 # Each pattern digit confines d = u - theta to an interval: y = 0 needs
 # d <= 0, an interior coordinate 0 <= d <= 1, and y = 1 needs d >= 1.
@@ -116,7 +119,7 @@ def _pattern_violations(u, k, theta, digits, n_one):
     return per_coord, gap
 
 
-def brute_force_project(x, spec, chunk=65536):
+def brute_force_project(x, spec):
     """Projection by exhaustive search over all 3^n boundary patterns.
 
     For every assignment of coordinates to {zero, interior, one} the
@@ -139,8 +142,8 @@ def brute_force_project(x, spec, chunk=65536):
 
     best_total = np.inf
     best_code = -1
-    for start in range(0, digits.shape[0], chunk):
-        rows = slice(start, start + chunk)
+    for start in range(0, digits.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
         theta = _theta_for_patterns(u, k, digits[rows], m[rows], n_one[rows], s_act[rows])
         per_coord, gap = _pattern_violations(u, k, theta, digits[rows], n_one[rows])
         total = per_coord.sum(axis=1) + gap

@@ -3,7 +3,8 @@
 Trains a two-layer MLP under interchangeable loss layers across a grid of
 batch sizes and seeds, recording the best test accuracy per run, and
 compares losses with a paired t-test whose p-value is computed from
-scratch (regularized incomplete beta). Every run is deterministic given
+scratch (the closed-form Student-t tail for integer degrees of freedom,
+Abramowitz & Stegun 26.7.3/26.7.4). Every run is deterministic given
 its seed: one generator drives init and shuffling, and no parallelism
 touches the arithmetic.
 """
@@ -366,9 +367,7 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     if loss_name not in LOSS_NAMES:
         raise ValueError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
     if not 1 <= batch_size <= dataset.m_train:
-        raise ValueError(
-            f"batch_size must lie in [1, {dataset.m_train}], got {batch_size}"
-        )
+        raise ValueError(f"batch_size must lie in [1, {dataset.m_train}], got {batch_size}")
     if dataset.m_test < 1:
         raise ValueError("dataset has an empty test split")
     rng = np.random.default_rng(seed)
@@ -469,6 +468,9 @@ class SweepConfig:
             self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        self.tau = float(self.tau)
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):  # also rejects NaN
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     @classmethod
     def from_dict(cls, d):
@@ -500,6 +502,9 @@ def sweep(config):
     the returned list is sorted the same way regardless.
     """
     dataset = _build_dataset(config)
+    for batch in config.batches:  # fail before the first cell trains
+        if not 1 <= batch <= dataset.m_train:
+            raise ValueError(f"batch_size must lie in [1, {dataset.m_train}], got {batch}")
     records = []
     for loss_name in config.losses:
         for batch in config.batches:
@@ -535,70 +540,29 @@ class TTestResult:
     degenerate: bool = False
 
 
-def _betacf(a, b, x, max_iter=200, eps=3e-14):
-    """Continued fraction of the incomplete beta (modified Lentz scheme)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction failed to converge")
-
-
-def _betainc_reg(a, b, x):
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # the continued fraction converges fast only on one side of the mean
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+def _t_two_sided_p(t, df):
+    """P(|T| >= |t|) for Student's t with integer df >= 1: the finite sums of
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df)."""
+    theta = math.atan(abs(t) / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    odd = df % 2
+    term, total = 1.0, 0.0
+    for j in range(df // 2):
+        total += term
+        term *= cos * cos * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    a = 2.0 / math.pi * (theta + sin * cos * total) if odd else sin * total
+    return max(0.0, 1.0 - a)  # a = P(|T| < |t|) can round just above 1
 
 
 def paired_t_test(a, b):
     """Paired-samples t-test of b against a on per-seed differences b - a.
 
-    Uses n-1 degrees of freedom and a two-sided p-value from the t
-    distribution's CDF, evaluated via the regularized incomplete beta.
-    Zero-variance differences make t undefined; that branch reports p = 0
-    when the mean difference is nonzero (the runs differ identically on
-    every seed) or p = 1 when it is zero, and flags the result degenerate.
+    Uses n-1 degrees of freedom and a two-sided p-value from the closed-form
+    t tail for integer df (``_t_two_sided_p``). NaN or Inf samples, or an
+    overflowing mean or spread of b - a, raise ValueError. Zero-variance
+    differences make t undefined; that branch reports p = 0 when the mean
+    difference is nonzero (the runs differ identically on every seed) or
+    p = 1 when it is zero, and flags the result degenerate.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -607,14 +571,15 @@ def paired_t_test(a, b):
     n = a.size
     if n < 2:
         raise ValueError(f"need at least 2 pairs, got {n}")
-    diff = b - a
-    mean = float(diff.mean())
-    sd = float(diff.std(ddof=1))
+    with np.errstate(all="ignore"):  # NaN, Inf and overflow are rejected below
+        diff = b - a
+        mean, sd = float(diff.mean()), float(diff.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError("paired samples must be finite, with a finite mean and spread of b - a")
     if sd == 0.0:
         p = 1.0 if mean == 0.0 else 0.0
         t = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
         return TTestResult(mean, t, p, p < 0.1, degenerate=True)
     t = mean / (sd / math.sqrt(n))
-    df = n - 1
-    p = _betainc_reg(df / 2.0, 0.5, df / (df + t * t))
-    return TTestResult(mean, float(t), float(p), p < 0.1)
+    p = _t_two_sided_p(t, n - 1)
+    return TTestResult(mean, float(t), p, p < 0.1)

@@ -30,10 +30,10 @@ class CheckResult:
     detail: str
 
 
-def corrupted_project(x, spec, **kwargs):
+def corrupted_project(x, spec):
     """Projection with the threshold nudged off its solve; testing hook for
     the failure paths of the verify command."""
-    res = project(x, spec, **kwargs)
+    res = project(x, spec)
     u = np.asarray(x, dtype=np.float64) / spec.tau
     theta = res.theta + 1e-3
     return _classify(np.clip(u - theta, 0.0, 1.0), theta, spec)

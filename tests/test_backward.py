@@ -128,3 +128,9 @@ class TestLossGradFromResidual:
             loss_grad_from_residual(res, np.zeros(4), 0.0)
         with pytest.raises(ValueError):
             loss_grad_from_residual(res, np.zeros(4), -1.0)
+
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_rejects_non_finite_temperature(self, tau):
+        # same domain as HypersimplexSpec: tau = inf would zero the gradient
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            loss_grad_from_residual(worked_result(), np.ones(4), tau)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from hypersimplex.bench import run_bench
 from hypersimplex.cli import main
 from hypersimplex.trainer import CSV_HEADER, read_records_csv
 
@@ -173,6 +174,16 @@ class TestBenchCommand:
         assert code == 2
         assert "unknown bench op" in err
 
+    def test_zero_reps_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--sizes", "512", "--reps", "0")
+        assert code == 2
+        assert "reps must be >= 1" in err
+        assert out == ""
+
+    def test_run_bench_rejects_unknown_op(self):
+        with pytest.raises(ValueError, match="unknown bench op 'projct'"):
+            run_bench(sizes=(512,), reps=1, ops=("projct",))
+
 
 def sweep_config(tmp_path, **overrides):
     cfg = {
@@ -235,6 +246,24 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config",
                                str(tmp_path / "none.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"batches": [16, 0]}, "batch_size must lie in [1, 96], got 0"),
+        ({"batches": [16, 97]}, "batch_size must lie in [1, 96], got 97"),
+        ({"tau": 0}, "tau must be positive and finite"),
+    ])
+    def test_bad_grid_exits_2_before_any_cell_trains(
+            self, capsys, tmp_path, monkeypatch, overrides, message):
+        trained = []
+        monkeypatch.setattr("hypersimplex.trainer.train_one",
+                            lambda *args, **kwargs: trained.append(args))
+        config_path, cfg = sweep_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
+        assert code == 2
+        assert message in err
+        assert trained == []
+        assert out == ""
+        assert not (tmp_path / "runs.csv").exists()
 
 
 def write_report_csv(path, rows):
@@ -323,6 +352,16 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", "--csv", str(path))
         assert code == 2
         assert "at least 2 seeds" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_accuracy_exits_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "runs.csv"
+        rows = [("ce", 32, s, a) for s, a in enumerate((0.4, bad, 0.6))]
+        rows += [("hypersimplex", 32, s, a) for s, a in enumerate((0.5, 0.5, 0.7))]
+        write_report_csv(path, rows)
+        code, _, err = run_cli(capsys, "report", "--csv", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "finite" in err
 
 
 class TestDeterminism:

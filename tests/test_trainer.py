@@ -4,7 +4,6 @@ import struct
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 from hypersimplex.trainer import (
@@ -15,7 +14,7 @@ from hypersimplex.trainer import (
     MlpModel,
     RunRecord,
     SweepConfig,
-    _betainc_reg,
+    _t_two_sided_p,
     load_fashion_mnist,
     load_idx,
     loss_layer,
@@ -452,6 +451,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="at least one seed"):
             SweepConfig(seeds=())
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            SweepConfig(tau=tau)
+
 
 class TestSweep:
     def test_runs_grid_in_deterministic_order(self):
@@ -516,14 +520,26 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match="at least 2 pairs"):
             paired_t_test([1.0], [2.0])
 
-    def test_incomplete_beta_matches_scipy(self):
-        rng = np.random.default_rng(96)
-        for _ in range(300):
-            a = float(rng.uniform(0.2, 20))
-            b = float(rng.uniform(0.2, 20))
-            x = float(rng.uniform(0, 1))
-            assert _betainc_reg(a, b, x) == pytest.approx(
-                scipy.special.betainc(a, b, x), abs=1e-12
-            )
-        assert _betainc_reg(2.0, 3.0, 0.0) == 0.0
-        assert _betainc_reg(2.0, 3.0, 1.0) == 1.0
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([0.5, bad, 0.7], [0.6, 0.6, 0.8])
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([0.5, 0.6, 0.7], [0.6, bad, 0.8])
+
+    def test_rejects_overflowing_mean(self):
+        # finite samples whose mean overflows would give t = NaN, and a
+        # NaN t must not come out as p = 0
+        with pytest.raises(ValueError, match="finite mean and spread"):
+            paired_t_test([0.0, 0.0, 0.0], [1.7e308, 1.7e308, 1.6e308])
+
+    @pytest.mark.parametrize("df", [*range(1, 11), 28, 99, 999])
+    def test_closed_form_p_matches_scipy(self, df):
+        # Student-t with 1 df is the Cauchy law; scipy's t.sf itself is off by
+        # 2.8e-11 there at t = 1e-6, while cauchy.sf evaluates the arctangent
+        dist = scipy.stats.cauchy() if df == 1 else scipy.stats.t(df)
+        for t in (0.0, *np.logspace(-6, 6, 61)):
+            p = _t_two_sided_p(t, df)
+            assert 0.0 <= p <= 1.0
+            assert abs(p - 2.0 * dist.sf(t)) <= 1e-12, (df, t, p)
+            assert _t_two_sided_p(-t, df) == p
