@@ -15,7 +15,6 @@ from .losses import (
     ClassBatch,
     LossEval,
     cross_entropy_loss,
-    estimate_k_per_class,
     hinge_loss,
     hypersimplex_loss,
     hypersimplex_loss_multiclass,
@@ -60,7 +59,6 @@ __all__ = [
     "SweepConfig",
     "TTestResult",
     "cross_entropy_loss",
-    "estimate_k_per_class",
     "get_backend",
     "hard_topk",
     "hinge_loss",

@@ -192,30 +192,18 @@ def _center_on_active_py(v, active_idx, n):
 def _pav_decreasing(v):
     # Stack of blocks as (running sum, count, start); merge while a block mean
     # rises above its left neighbor, which violates the nonincreasing fit.
-    n = v.shape[0]
-    sums = np.empty(n, dtype=np.float64)
-    counts = np.empty(n, dtype=np.int64)
-    starts = np.empty(n, dtype=np.int64)
-    nb = 0
-    for i in range(n):
-        sums[nb] = v[i]
-        counts[nb] = 1
-        starts[nb] = i
-        nb += 1
-        while nb > 1 and sums[nb - 2] / counts[nb - 2] < sums[nb - 1] / counts[nb - 1]:
-            sums[nb - 2] += sums[nb - 1]
-            counts[nb - 2] += counts[nb - 1]
-            nb -= 1
-    fitted = np.empty(n, dtype=np.float64)
-    means = np.empty(nb, dtype=np.float64)
-    pos = 0
-    for j in range(nb):
-        mean = sums[j] / counts[j]
-        means[j] = mean
-        for _ in range(counts[j]):
-            fitted[pos] = mean
-            pos += 1
-    return fitted, starts[:nb].copy(), means
+    sums, counts, starts = [], [], []
+    for i, value in enumerate(v.tolist()):
+        sums.append(value)
+        counts.append(1)
+        starts.append(i)
+        while len(sums) > 1 and sums[-2] / counts[-2] < sums[-1] / counts[-1]:
+            total, count = sums.pop(), counts.pop()
+            starts.pop()
+            sums[-1] += total
+            counts[-1] += count
+    means = np.array(sums, dtype=np.float64) / np.array(counts, dtype=np.int64)
+    return np.repeat(means, counts), np.array(starts, dtype=np.int64), means
 
 
 _NUMPY = SimpleNamespace(name="numpy")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .projection import ProjectionResult
+from .projection import ProjectionResult, _as_temperature
 
 
 def _as_tangent(v, n):
@@ -52,7 +52,5 @@ def loss_grad_from_residual(result, residual, tau):
     boundary points this is the one-sided subgradient that treats
     saturated coordinates as constant.
     """
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):  # also rejects NaN
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    tau = _as_temperature(tau)
     return jvp(result, residual) / tau

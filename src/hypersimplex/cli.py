@@ -208,7 +208,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ops", default="project,jvp",
                    help=f"subset of {','.join(bench.OPS)} (default project,jvp; the "
-                        "interpreted pav loop takes minutes on the default sizes)")
+                        "interpreted pav loop adds about 50 s on the default sizes)")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 

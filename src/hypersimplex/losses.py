@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import loss_grad_from_residual
-from .projection import HypersimplexSpec, _as_score_vector, project
+from .projection import HypersimplexSpec, _as_temperature, project
 
 
 @dataclass
@@ -115,104 +115,58 @@ def hypersimplex_loss(x, y, spec):
     )
 
 
-def estimate_k_per_class(targets):
-    """Per-class positive counts of a one-hot target matrix (the plug-in
-    cardinality for each class's projection)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim != 2:
-        raise ValueError(f"targets must be an n x C matrix, got shape {targets.shape}")
-    if not np.all((targets == 0.0) | (targets == 1.0)):
-        raise ValueError("targets must be binary")
-    if not np.all(targets.sum(axis=1) == 1.0):
-        raise ValueError("target rows must be one-hot")
-    return targets.sum(axis=0).astype(np.int64)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ClassBatch:
-    """One batch of the multiclass loss: per-class logit and target columns.
+    """One batch of the multiclass loss: n x C logits (column c holds the
+    class-c scores of all n samples), n integer labels and one temperature.
 
-    Column c of logits holds the class-c scores of all n samples; the
-    class-c projection runs down that column, over the batch dimension.
-    k_per_class and tau_per_class give each class its own cardinality and
-    temperature.
+    Checked once, at construction: logits and labels by the contract of
+    every other loss (finite, C >= 2, labels in [0, C)), tau positive and
+    finite.
     """
 
     logits: np.ndarray
-    targets: np.ndarray
-    k_per_class: np.ndarray
-    tau_per_class: np.ndarray
+    labels: np.ndarray
+    tau: float = 1.0
 
     def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.logits.ndim != 2:
-            raise ValueError(f"logits must be n x C, got shape {self.logits.shape}")
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError("logits contain NaN or Inf")
-        n, C = self.logits.shape
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.targets.shape != (n, C):
-            raise ValueError(
-                f"targets have shape {self.targets.shape}, expected {(n, C)}"
-            )
-        if not np.all((self.targets == 0.0) | (self.targets == 1.0)):
-            raise ValueError("targets must be binary")
-        if not np.all(self.targets.sum(axis=1) == 1.0):
-            raise ValueError("target rows must be one-hot")
-        self.k_per_class = np.asarray(self.k_per_class)
-        if self.k_per_class.shape != (C,) or self.k_per_class.dtype.kind not in "iu":
-            raise ValueError("k_per_class must be a length-C integer sequence")
-        self.k_per_class = self.k_per_class.astype(np.int64)
-        if np.any(self.k_per_class < 0) or np.any(self.k_per_class > n):
-            raise ValueError(f"each k_c must lie in [0, {n}]")
-        self.tau_per_class = np.asarray(self.tau_per_class, dtype=np.float64)
-        if self.tau_per_class.shape != (C,):
-            raise ValueError("tau_per_class must be a length-C sequence")
-        if not np.all(np.isfinite(self.tau_per_class)) or np.any(self.tau_per_class <= 0.0):
-            raise ValueError("each tau_c must be positive and finite")
+        logits, labels, _, _ = _as_scores_labels(self.logits, self.labels)
+        object.__setattr__(self, "logits", logits)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "tau", _as_temperature(self.tau))
+
+    @property
+    def k_per_class(self):
+        """k_c for each class c: its label count in the batch."""
+        return np.bincount(self.labels, minlength=self.logits.shape[1])
 
     @classmethod
     def from_labels(cls, logits, labels, tau=1.0):
-        """Build a batch from integer labels: one-hot targets, k_c from the
-        batch's own class counts, one shared temperature."""
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be n x C, got shape {logits.shape}")
-        n, C = logits.shape
-        labels = np.asarray(labels)
-        if labels.shape != (n,) or labels.dtype.kind not in "iu":
-            raise ValueError("labels must be a length-n integer sequence")
-        if labels.size and (labels.min() < 0 or labels.max() >= C):
-            raise ValueError(f"labels must lie in [0, {C})")
-        targets = _one_hot(labels.astype(np.int64), C)
-        return cls(
-            logits=logits,
-            targets=targets,
-            k_per_class=estimate_k_per_class(targets),
-            tau_per_class=np.full(C, float(tau)),
-        )
+        """Same as ClassBatch(logits, labels, tau)."""
+        return cls(logits, labels, tau)
 
 
 def hypersimplex_loss_multiclass(batch):
     """Sum over classes of the binary hypersimplex loss on each class column.
 
     Value is (1/2) sum_c ||p_c - y_c||^2 where p_c projects logit column c
-    onto the (n, k_c)-hypersimplex at temperature tau_c; grad column c is
-    the corresponding chained residual. The reduction is a sum, not a
-    mean; trainers divide by the batch size when they want per-sample
-    scale. A class with k_c = 0 and an all-zero target column contributes
-    nothing. Class columns are independent, so they may be evaluated in
-    any order or in parallel.
+    onto the (n, k_c)-hypersimplex at the batch temperature tau and y_c is
+    the indicator of label c; grad column c is the corresponding chained
+    residual. The reduction is a sum, not a mean; trainers divide by the
+    batch size when they want per-sample scale. A class absent from the
+    batch (k_c = 0) contributes nothing. Class columns are independent,
+    so they may be evaluated in any order or in parallel.
     """
     if not isinstance(batch, ClassBatch):
         raise TypeError("batch must be a ClassBatch")
     n, C = batch.logits.shape
+    k_per_class = batch.k_per_class
     value = 0.0
     grad = np.empty((n, C))
     for c in range(C):
-        spec = HypersimplexSpec(n, int(batch.k_per_class[c]), float(batch.tau_per_class[c]))
+        spec = HypersimplexSpec(n, int(k_per_class[c]), batch.tau)
         result = project(batch.logits[:, c], spec)
-        resid = result.y - batch.targets[:, c]
+        resid = result.y - (batch.labels == c)
         value += 0.5 * float(np.dot(resid, resid))
         grad[:, c] = loss_grad_from_residual(result, resid, spec.tau)
     return LossEval(value=value, grad=grad)

@@ -30,6 +30,14 @@ def _as_cardinality(k, n):
     return k
 
 
+def _as_temperature(tau):
+    """tau as a Python float; zero, negative, infinite and NaN are rejected."""
+    tau = float(tau)
+    if not (tau > 0.0 and math.isfinite(tau)):  # also rejects NaN
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    return tau
+
+
 @dataclass(frozen=True)
 class HypersimplexSpec:
     """Dimension n, target cardinality k and temperature tau of a projection.
@@ -52,9 +60,7 @@ class HypersimplexSpec:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         object.__setattr__(self, "k", _as_cardinality(self.k, self.n))
-        object.__setattr__(self, "tau", float(self.tau))
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):  # also rejects NaN
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        object.__setattr__(self, "tau", _as_temperature(self.tau))
 
 
 @dataclass
@@ -177,16 +183,17 @@ def project(x, spec):
     return _classify(y, theta, spec)
 
 
-def project_bisect(x, spec, tol=1e-12):
+_BISECT_TOL = 1e-12
+
+
+def project_bisect(x, spec):
     """Same minimizer as ``project``, found by bisection on the threshold.
 
     Bisects theta over [min(u) - 1, max(u)] using the monotone clip-sum map,
-    stops once |sum(y) - k| <= tol, then snaps theta to the exact solution
-    of the bracketing segment. Shares no solver code with ``project``; used
-    as an independent cross-check.
+    stops once |sum(y) - k| <= _BISECT_TOL, then snaps theta to the exact
+    solution of the bracketing segment. Shares no solver code with
+    ``project``; used as an independent cross-check.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     x = _as_score_vector(x, spec.n)
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
@@ -199,7 +206,7 @@ def project_bisect(x, spec, tol=1e-12):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g = float(np.sum(np.clip(u - mid, 0.0, 1.0)))
-        if abs(g - k) <= tol:
+        if abs(g - k) <= _BISECT_TOL:
             break
         if g > k:
             lo = mid

@@ -25,6 +25,7 @@ from .losses import (
     squared_loss,
     zero_one_loss,
 )
+from .projection import _as_temperature
 
 CSV_HEADER = "dataset,loss,batch,seed,tau,lr,epochs,best_test_acc,final_train_loss"
 
@@ -468,9 +469,13 @@ class SweepConfig:
             self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
-        self.tau = float(self.tau)
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):  # also rejects NaN
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        self.tau = _as_temperature(self.tau)
+        for name, least in (("epochs", 1), ("hidden", 1), ("dims", 1),
+                            ("m_train", 1), ("m_test", 1), ("classes", 2)):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @classmethod
     def from_dict(cls, d):

@@ -251,6 +251,11 @@ class TestSweepCommand:
         ({"batches": [16, 0]}, "batch_size must lie in [1, 96], got 0"),
         ({"batches": [16, 97]}, "batch_size must lie in [1, 96], got 97"),
         ({"tau": 0}, "tau must be positive and finite"),
+        ({"hidden": 0}, "hidden must be an integer >= 1, got 0"),
+        ({"dims": 0}, "dims must be an integer >= 1, got 0"),
+        ({"epochs": "2"}, "epochs must be an integer >= 1, got '2'"),
+        ({"epochs": -1}, "epochs must be an integer >= 1, got -1"),
+        ({"classes": 1}, "classes must be an integer >= 2, got 1"),
     ])
     def test_bad_grid_exits_2_before_any_cell_trains(
             self, capsys, tmp_path, monkeypatch, overrides, message):

@@ -129,3 +129,4 @@ class TestPavDecreasing:
         np.testing.assert_allclose(fit, [3.0, 1.5, 1.5], atol=1e-15)
         assert list(starts) == [0, 1]
         np.testing.assert_allclose(means, [3.0, 1.5], atol=1e-15)
+        assert (fit.dtype, starts.dtype, means.dtype) == (np.float64, np.int64, np.float64)

@@ -7,7 +7,6 @@ from hypersimplex import (
     ClassBatch,
     HypersimplexSpec,
     cross_entropy_loss,
-    estimate_k_per_class,
     hinge_loss,
     hypersimplex_loss,
     hypersimplex_loss_multiclass,
@@ -175,76 +174,82 @@ class TestHypersimplexLoss:
                               HypersimplexSpec(2, 1, 1.0))
 
 
-class TestEstimateKPerClass:
-    def test_counts_positives_per_class(self):
-        targets = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        assert estimate_k_per_class(targets).tolist() == [2, 1, 1]
-
-    def test_single_class_batch(self):
-        targets = np.zeros((4, 3))
-        targets[:, 0] = 1.0
-        assert estimate_k_per_class(targets).tolist() == [4, 0, 0]
-
-    def test_counts_sum_to_batch_size(self):
-        rng = np.random.default_rng(65)
-        for _ in range(50):
-            n, C = int(rng.integers(1, 30)), int(rng.integers(2, 6))
-            targets = np.zeros((n, C))
-            targets[np.arange(n), rng.integers(0, C, n)] = 1.0
-            assert estimate_k_per_class(targets).sum() == n
-
-    def test_rejects_non_one_hot_rows(self):
-        with pytest.raises(ValueError):
-            estimate_k_per_class(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            estimate_k_per_class(np.array([[0.2, 0.8]]))
-
-
 class TestClassBatch:
     def test_from_labels_builds_consistent_batch(self):
         rng = np.random.default_rng(66)
         logits = rng.normal(0, 1, (6, 3))
         batch = ClassBatch.from_labels(logits, np.array([0, 0, 1, 2, 2, 2]), tau=0.5)
         assert batch.k_per_class.tolist() == [2, 1, 3]
-        assert batch.tau_per_class.tolist() == [0.5, 0.5, 0.5]
-        assert batch.targets.sum() == 6
+        assert batch.tau == 0.5
+        assert batch.labels.tolist() == [0, 0, 1, 2, 2, 2]
+
+    def test_single_class_batch_counts(self):
+        batch = ClassBatch(np.zeros((4, 3)), np.zeros(4, dtype=np.int64))
+        assert batch.k_per_class.tolist() == [4, 0, 0]
+
+    def test_k_per_class_sums_to_batch_size(self):
+        rng = np.random.default_rng(65)
+        for _ in range(50):
+            n, C = int(rng.integers(1, 30)), int(rng.integers(2, 6))
+            batch = ClassBatch(np.zeros((n, C)), rng.integers(0, C, n))
+            assert batch.k_per_class.shape == (C,)
+            assert batch.k_per_class.sum() == n
+
+    def test_k_per_class_is_not_settable(self):
+        batch = ClassBatch(np.zeros((2, 2)), np.array([0, 1]))
+        with pytest.raises(AttributeError):
+            batch.k_per_class = np.array([2, 0])
 
     def test_rejects_label_out_of_range(self):
         with pytest.raises(ValueError):
             ClassBatch.from_labels(np.zeros((2, 3)), np.array([0, 3]))
 
-    def test_rejects_mismatched_targets(self):
+    def test_rejects_mismatched_labels(self):
         with pytest.raises(ValueError):
-            ClassBatch(np.zeros((2, 3)), np.zeros((2, 2)),
-                       np.array([1, 1, 0]), np.ones(3))
+            ClassBatch(np.zeros((2, 3)), np.array([0, 1, 2]))
+        with pytest.raises(ValueError):
+            ClassBatch(np.zeros((2, 3)), np.array([0.0, 1.0]))
 
-    def test_rejects_bad_cardinalities_and_temperatures(self):
-        targets = np.array([[1.0, 0.0], [0.0, 1.0]])
+    def test_rejects_single_column(self):
         with pytest.raises(ValueError):
-            ClassBatch(np.zeros((2, 2)), targets, np.array([3, 0]), np.ones(2))
+            ClassBatch(np.zeros((3, 1)), np.zeros(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("logit", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_logits(self, logit):
+        logits = np.zeros((2, 2))
+        logits[1, 0] = logit
         with pytest.raises(ValueError):
-            ClassBatch(np.zeros((2, 2)), targets, np.array([1, 1]), np.array([1.0, 0.0]))
+            ClassBatch.from_labels(logits, np.array([0, 1]))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError):
+            ClassBatch(np.zeros((2, 2)), np.array([0, 1]), tau)
 
 
 class TestHypersimplexLossMulticlass:
     def test_zero_on_exactly_projectable_logits(self):
         # columns already sit at hypersimplex vertices far from the threshold
-        targets = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        logits = np.where(targets == 1.0, 10.0, -10.0)
-        batch = ClassBatch(logits, targets, np.array([1, 2]), np.array([0.01, 0.01]))
+        labels = np.array([0, 1, 1])
+        logits = np.where(labels[:, None] == np.arange(2), 10.0, -10.0)
+        batch = ClassBatch(logits, labels, tau=0.01)
         ev = hypersimplex_loss_multiclass(batch)
         assert ev.value == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(ev.grad, 0.0, atol=1e-15)
 
     def test_single_column_reduces_to_binary_loss(self):
+        # each column is the binary loss with k_c from the labels
         rng = np.random.default_rng(67)
-        x = rng.normal(0, 1, 5)
-        targets = np.ones((5, 1))
-        batch = ClassBatch(x[:, None], targets, np.array([2]), np.array([1.0]))
-        ev = hypersimplex_loss_multiclass(batch)
-        binary = hypersimplex_loss(x, np.ones(5), HypersimplexSpec(5, 2, 1.0))
-        assert ev.value == pytest.approx(binary.value, abs=1e-12)
-        np.testing.assert_allclose(ev.grad[:, 0], binary.grad, atol=1e-12)
+        logits = rng.normal(0, 1, (5, 2))
+        labels = np.array([1, 0, 1, 1, 0])
+        ev = hypersimplex_loss_multiclass(ClassBatch(logits, labels, tau=0.7))
+        total = 0.0
+        for c, k in enumerate([2, 3]):
+            binary = hypersimplex_loss(logits[:, c], (labels == c).astype(float),
+                                       HypersimplexSpec(5, k, 0.7))
+            np.testing.assert_allclose(ev.grad[:, c], binary.grad, atol=1e-12)
+            total += binary.value
+        assert ev.value == pytest.approx(total, abs=1e-12)
 
     def test_absent_class_contributes_nothing(self):
         rng = np.random.default_rng(68)
@@ -283,9 +288,7 @@ class TestHypersimplexLossMulticlass:
             ev = hypersimplex_loss_multiclass(batch)
 
             def total(Z):
-                return hypersimplex_loss_multiclass(
-                    ClassBatch(Z, batch.targets, batch.k_per_class, batch.tau_per_class)
-                ).value
+                return hypersimplex_loss_multiclass(ClassBatch(Z, labels)).value
 
             fd = fd_scalar_grad(total, logits)
             np.testing.assert_allclose(ev.grad, fd, rtol=1e-5, atol=1e-7)

@@ -233,7 +233,7 @@ class TestProjectBisect:
         x = np.array([3.0, 1.0, 0.5, -2.0])
         spec = HypersimplexSpec(4, 2, 1.0)
         np.testing.assert_allclose(
-            project_bisect(x, spec, tol=1e-12).y, [1.0, 0.75, 0.25, 0.0], atol=1e-9
+            project_bisect(x, spec).y, [1.0, 0.75, 0.25, 0.0], atol=1e-9
         )
 
     def test_degenerate_cardinalities(self):
@@ -243,10 +243,6 @@ class TestProjectBisect:
     def test_constant_input_gives_uniform(self):
         res = project_bisect(np.full(5, -3.2), HypersimplexSpec(5, 3, 0.4))
         np.testing.assert_allclose(res.y, np.full(5, 0.6), atol=1e-9)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            project_bisect(np.array([1.0, 0.0]), HypersimplexSpec(2, 1, 1.0), tol=0.0)
 
     def test_agrees_with_scan_solver_on_random_instances(self):
         rng = np.random.default_rng(18)

@@ -456,6 +456,17 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             SweepConfig(tau=tau)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 0), ("epochs", -1), ("epochs", "2"), ("epochs", 2.0), ("epochs", True),
+        ("hidden", 0), ("dims", 0), ("m_train", 0), ("m_test", 0), ("classes", 1),
+    ])
+    def test_rejects_bad_sizes(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            SweepConfig(**{name: value})
+
+    def test_accepts_smallest_sizes(self):
+        SweepConfig(epochs=1, hidden=1, dims=1, m_train=1, m_test=1, classes=2)
+
 
 class TestSweep:
     def test_runs_grid_in_deterministic_order(self):
