@@ -183,6 +183,10 @@ class TestClassBatch:
         assert batch.tau == 0.5
         assert batch.labels.tolist() == [0, 0, 1, 2, 2, 2]
 
+    def test_counts_positives_per_class(self):
+        batch = ClassBatch(np.zeros((4, 3)), np.array([0, 0, 1, 2]))
+        assert batch.k_per_class.tolist() == [2, 1, 1]
+
     def test_single_class_batch_counts(self):
         batch = ClassBatch(np.zeros((4, 3)), np.zeros(4, dtype=np.int64))
         assert batch.k_per_class.tolist() == [4, 0, 0]
