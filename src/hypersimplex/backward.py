@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .projection import ProjectionResult, _as_temperature
+from .projection import ProjectionResult
 
 
 def _as_tangent(v, n):
@@ -44,13 +44,12 @@ def vjp(result, u):
     return jvp(result, u)
 
 
-def loss_grad_from_residual(result, residual, tau):
+def loss_grad_from_residual(result, residual):
     """Gradient of (1/2)||y_hat - target||^2 with respect to the raw scores x.
 
     residual is y_hat - target. Chains the squared-loss gradient through
-    the projection and the 1/tau input scaling: (1/tau) J residual. At
-    boundary points this is the one-sided subgradient that treats
-    saturated coordinates as constant.
+    the projection and the 1/tau input scaling, tau = result.spec.tau:
+    (1/tau) J residual. At boundary points this is the one-sided
+    subgradient that treats saturated coordinates as constant.
     """
-    tau = _as_temperature(tau)
-    return jvp(result, residual) / tau
+    return jvp(result, residual) / result.spec.tau

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .projection import _as_score_vector, _check_scaled, _degenerate, _prefix_sums
+from .projection import _as_score_vector, _degenerate, _prefix_sums
 
 
 @dataclass
@@ -52,13 +52,12 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
     explicit and costs O(n)). Equals the general projection on sorted
     input. Rejects unsorted input.
     """
-    x = _as_score_vector(x_sorted_desc, spec.n)
+    x = _as_score_vector(x_sorted_desc, spec)
     if np.any(np.diff(x) > 0.0):
         raise ValueError("input must be sorted nonincreasing")
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
-    _check_scaled(u[0], u[-1])
     fitted, _, _ = _kernels._pav_decreasing(u)
     theta = _kernels._theta_from_sorted_numpy(
         fitted, _prefix_sums(fitted), float(spec.k))

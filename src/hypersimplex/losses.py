@@ -111,7 +111,7 @@ def hypersimplex_loss(x, y, spec):
     resid = result.y - y
     return LossEval(
         value=0.5 * float(np.dot(resid, resid)),
-        grad=loss_grad_from_residual(result, resid, spec.tau),
+        grad=loss_grad_from_residual(result, resid),
     )
 
 
@@ -168,5 +168,5 @@ def hypersimplex_loss_multiclass(batch):
         result = project(batch.logits[:, c], spec)
         resid = result.y - (batch.labels == c)
         value += 0.5 * float(np.dot(resid, resid))
-        grad[:, c] = loss_grad_from_residual(result, resid, spec.tau)
+        grad[:, c] = loss_grad_from_residual(result, resid)
     return LossEval(value=value, grad=grad)

@@ -25,7 +25,6 @@ from .projection import (
     HypersimplexSpec,
     _as_cardinality,
     _as_score_vector,
-    _check_scaled,
     project,
 )
 
@@ -133,9 +132,8 @@ def brute_force_project(x, spec):
         raise ValueError(
             f"oracle enumerates 3^n patterns; n={spec.n} exceeds the cap of {MAX_ORACLE_N}"
         )
-    x = _as_score_vector(x, spec.n)
+    x = _as_score_vector(x, spec)
     u = x / spec.tau
-    _check_scaled(u.max(), u.min())
     k = float(spec.k)
     digits, m, n_one = _patterns(spec.n)
     s_act = _active_sums(u)
@@ -186,7 +184,7 @@ def exhaustive_topk(x, k):
     return out
 
 
-def fd_jacobian(x, spec, h=1e-6):
+def fd_jacobian(x, spec):
     """Central-difference Jacobian of the projection with respect to x.
 
     J[i, j] ~ (project(x + h e_j).y - project(x - h e_j).y)_i / (2 h).
@@ -195,7 +193,8 @@ def fd_jacobian(x, spec, h=1e-6):
     differentiates with respect to x, so it carries the 1/tau factor that
     the analytic jvp (which differentiates with respect to x/tau) omits.
     """
-    x = _as_score_vector(x, spec.n)
+    x = _as_score_vector(x, spec)
+    h = 1e-6  # step in x units
     J = np.empty((spec.n, spec.n))
     for j in range(spec.n):
         step = np.zeros_like(x)

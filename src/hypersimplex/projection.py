@@ -90,17 +90,22 @@ class ProjectionResult:
         return self.active.size == 0 and 0 < self.spec.k < self.spec.n
 
 
-def _as_score_vector(x, n=None):
+def _as_score_vector(x, spec=None):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("score vector must be non-empty")
     # min and max are NaN if any entry is, and infinite if any entry is
-    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("score vector contains NaN or Inf")
-    if n is not None and x.size != n:
-        raise ValueError(f"score vector has length {x.size}, spec.n is {n}")
+    if spec is not None and x.size != spec.n:
+        raise ValueError(f"score vector has length {x.size}, spec.n is {spec.n}")
+    # x / tau (tau > 0) is monotone and correctly rounded, so it overflows
+    # iff max|x| / tau does; Python floats divide without numpy's warning
+    if spec is not None and not math.isfinite(max(hi, -lo) / spec.tau):
+        raise ValueError("x / tau overflows float64; raise tau or rescale x")
     return x
 
 
@@ -144,19 +149,11 @@ def _classify(y, theta, spec):
     )
 
 
-def _check_scaled(u_max, u_min):
-    # finite x still overflows x / tau when tau is tiny
-    if not (math.isfinite(u_max) and math.isfinite(u_min)):
-        raise ValueError("x / tau overflows float64; raise tau or rescale x")
-
-
 def _degenerate(u, spec):
     # k = 0 and k = n are hypersimplex "corners" with an exact answer.
-    u_max, u_min = np.max(u), np.min(u)
-    _check_scaled(u_max, u_min)
     if spec.k == 0:
-        return _classify(np.zeros(spec.n), u_max, spec)
-    return _classify(np.ones(spec.n), u_min - 1.0, spec)
+        return _classify(np.zeros(spec.n), np.max(u), spec)
+    return _classify(np.ones(spec.n), np.min(u) - 1.0, spec)
 
 
 def project(x, spec):
@@ -170,12 +167,11 @@ def project(x, spec):
     of about 128 breakpoints pins it, without building the merged list of
     all 2n breakpoints. O(n log n) total, dominated by the value sort.
     """
-    x = _as_score_vector(x, spec.n)
+    x = _as_score_vector(x, spec)
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
     u_sorted = np.sort(u)[::-1]
-    _check_scaled(u_sorted[0], u_sorted[-1])
     theta = _kernels._theta_from_sorted_numpy(
         u_sorted, _prefix_sums(u_sorted), float(spec.k))
     # u is ours: clip y into its buffer
@@ -194,14 +190,13 @@ def project_bisect(x, spec):
     solution of the bracketing segment. Shares no solver code with
     ``project``; used as an independent cross-check.
     """
-    x = _as_score_vector(x, spec.n)
+    x = _as_score_vector(x, spec)
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
     k = float(spec.k)
     lo = float(np.min(u)) - 1.0  # clip sum = n here
     hi = float(np.max(u))  # clip sum = 0 here
-    _check_scaled(hi, lo)
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -156,8 +156,8 @@ class RunRecord:
     hypersimplex layer (sum form divided by batch size); best_test_acc is
     the maximum test accuracy over all epoch boundaries including the
     untrained model. A diverged run keeps the accuracies seen before the
-    divergence, stores NaN as final_train_loss and sets failed (failed is
-    derived from the NaN on CSV round-trips, not stored as a column).
+    divergence and stores NaN as final_train_loss, which is what failed
+    reads; it is not stored, neither here nor as a CSV column.
     """
 
     dataset: str
@@ -169,7 +169,10 @@ class RunRecord:
     epochs: int
     best_test_acc: float
     final_train_loss: float
-    failed: bool = False
+
+    @property
+    def failed(self):
+        return math.isnan(self.final_train_loss)
 
 
 def write_records_csv(records, path):
@@ -215,7 +218,6 @@ def read_records_csv(path):
                 )
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            rec.failed = math.isnan(rec.final_train_loss)
             records.append(rec)
     return records
 
@@ -430,7 +432,6 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
         epochs=int(epochs),
         best_test_acc=float(best_acc),
         final_train_loss=float(final_train_loss),
-        failed=failed,
     )
 
 

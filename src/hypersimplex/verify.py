@@ -8,6 +8,7 @@ Checks accept the projection as a parameter so a deliberately corrupted
 solver can be injected to exercise the failure paths.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +50,17 @@ def _random_x(rng, n, scale=3.0):
     return rng.normal(0.0, scale, n)
 
 
-def check_oracle_agreement(num=1000, seed=0, n_max=12, taus=(0.1, 1.0, 10.0),
-                           project_fn=project):
-    """Fast solver vs 3^n KKT enumeration on random small instances."""
-    if n_max > oracle.MAX_ORACLE_N:
-        raise ValueError(
-            f"oracle comparisons need n <= {oracle.MAX_ORACLE_N}, got n_max={n_max}"
-        )
+def check_oracle_agreement(num=1000, seed=0, n_max=12, project_fn=project):
+    """Fast solver vs 3^n KKT enumeration on random instances, n in [2, n_max]."""
+    if not 2 <= n_max <= oracle.MAX_ORACLE_N:
+        raise ValueError(f"n_max must be in [2, {oracle.MAX_ORACLE_N}]: oracle comparisons "
+                         f"are capped at n = {oracle.MAX_ORACLE_N}, got {n_max}")
     rng = np.random.default_rng(seed)
     worst_y = 0.0
     worst_theta = 0.0
     for _ in range(num):
         n = int(rng.integers(2, n_max + 1))
-        spec = _random_spec(rng, n, taus)
+        spec = _random_spec(rng, n, (0.1, 1.0, 10.0))
         x = _random_x(rng, n)
         res = project_fn(x, spec)
         cert = oracle.brute_force_project(x, spec)
@@ -128,14 +127,14 @@ def check_translation_invariance(num=2000, seed=3, project_fn=project):
     )
 
 
-def check_lipschitz(num=10000, seed=4, taus=(0.5, 1.0, 2.0), project_fn=project):
+def check_lipschitz(num=10000, seed=4, project_fn=project):
     """||F(x) - F(z)|| <= ||x - z|| / tau on random pairs."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -np.inf
     for _ in range(num):
         n = int(rng.integers(2, 33))
-        spec = _random_spec(rng, n, taus)
+        spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
         x = _random_x(rng, n)
         z = x + rng.normal(0.0, 10.0 ** rng.uniform(-3, 1), n)
         dy = float(np.linalg.norm(project_fn(x, spec).y - project_fn(z, spec).y))
@@ -259,8 +258,13 @@ def run_verify(num_oracle=1000, num_vectors=10000, num_aux=2000, seed=0,
     """Full property suite; returns one CheckResult per property.
 
     Seeds are offset per check so the suites draw independent streams but
-    stay reproducible from the single given seed.
+    stay reproducible from the single given seed. Every instance count must
+    be at least 1, so that no check passes without checking anything.
     """
+    for name, count in (("num_oracle", num_oracle), ("num_vectors", num_vectors),
+                        ("num_aux", num_aux)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     s = int(seed)
     return [
         check_oracle_agreement(num_oracle, s, n_max, project_fn=project_fn),
@@ -297,21 +301,26 @@ def _boundary_margin(u, theta):
     return float(np.min(np.minimum(np.abs(d), np.abs(d - 1.0))))
 
 
-def run_gradcheck(num=500, seed=0, tol=1e-5, taus=(0.5, 1.0, 2.0)):
+def run_gradcheck(num=500, seed=0, tol=1e-5):
     """Analytic jvp vs central finite differences at screened points.
 
     Points whose coordinates land within 1e-3 of an active-set change are
     resampled: the map is only directionally differentiable there, so an
     FD comparison would be meaningless. The FD step is taken in x-space,
     whose Jacobian carries a 1/tau factor relative to the analytic jvp.
+    num must be at least 1 and tol positive and finite.
     """
+    if num < 1:
+        raise ValueError(f"num must be >= 1, got {num}")
+    if not (tol > 0.0 and math.isfinite(tol)):  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(num):
         while True:
             n = int(rng.integers(4, 33))
             k = int(rng.integers(1, n))
-            tau = float(taus[rng.integers(0, len(taus))])
+            tau = float((0.5, 1.0, 2.0)[rng.integers(0, 3)])
             spec = HypersimplexSpec(n, k, tau)
             x = _random_x(rng, n)
             res = project(x, spec)

@@ -106,31 +106,18 @@ class TestVjp:
 class TestLossGradFromResidual:
     def test_worked_example(self):
         res = worked_result()
-        grad = loss_grad_from_residual(res, res.y - np.array([1.0, 1.0, 0.0, 0.0]), 1.0)
+        grad = loss_grad_from_residual(res, res.y - np.array([1.0, 1.0, 0.0, 0.0]))
         np.testing.assert_allclose(grad, [0.0, -0.25, 0.25, 0.0], atol=1e-12)
 
     def test_zero_residual_gives_zero_gradient(self):
         res = worked_result()
         np.testing.assert_allclose(
-            loss_grad_from_residual(res, np.zeros(4), 1.0), np.zeros(4), atol=1e-12
+            loss_grad_from_residual(res, np.zeros(4)), np.zeros(4), atol=1e-12
         )
 
-    def test_temperature_scales_gradient_at_fixed_result(self):
-        res = worked_result()
-        resid = np.array([0.0, -0.25, 0.25, 0.0])
-        g1 = loss_grad_from_residual(res, resid, 1.0)
-        g2 = loss_grad_from_residual(res, resid, 2.0)
-        np.testing.assert_allclose(g2, g1 / 2.0, atol=1e-12)
-
-    def test_rejects_nonpositive_temperature(self):
-        res = worked_result()
-        with pytest.raises(ValueError):
-            loss_grad_from_residual(res, np.zeros(4), 0.0)
-        with pytest.raises(ValueError):
-            loss_grad_from_residual(res, np.zeros(4), -1.0)
-
-    @pytest.mark.parametrize("tau", [np.inf, np.nan])
-    def test_rejects_non_finite_temperature(self, tau):
-        # same domain as HypersimplexSpec: tau = inf would zero the gradient
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
-            loss_grad_from_residual(worked_result(), np.ones(4), tau)
+    def test_scales_by_the_temperature_of_the_result(self):
+        res = worked_result(tau=2.0)
+        resid = np.array([0.5, -0.25, 0.25, -0.5])
+        assert res.spec.tau == 2.0
+        np.testing.assert_array_equal(
+            loss_grad_from_residual(res, resid), jvp(res, resid) / res.spec.tau)

@@ -54,7 +54,8 @@ class TestProjectCommand:
                                  "--k", "1", "--tau", "1e-10")
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "overflows" in err
+        # the check runs before the division, so numpy prints no warning
+        assert err == "error: x / tau overflows float64; raise tau or rescale x\n"
 
     def test_x_and_file_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "scores.txt"
@@ -120,6 +121,19 @@ class TestVerifyCommand:
         assert "capped at n = 12" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--num", "0", "--vectors", "0", "--aux", "0"),
+        ("--num", "0"),
+        ("--vectors", "0"),
+        ("--aux", "-1"),
+        ("--n", "1"),
+    ])
+    def test_checking_nothing_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
@@ -130,6 +144,20 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck", "--num", "10", "--tol", "1e-30")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--num", "0"),
+        ("--num", "-3"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "0"),
+        ("--tol=-1e-5",),
+    ])
+    def test_bad_count_or_tolerance_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "gradcheck", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestBenchCommand:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from hypersimplex import (
     project_rows,
 )
 from hypersimplex._kernels import _theta_from_sorted_py
+from hypersimplex.isotonic import project_sorted_via_isotonic
+from hypersimplex.oracle import brute_force_project
 from hypersimplex.projection import _prefix_sums
 
 
@@ -226,6 +230,38 @@ class TestProject:
         # finite scores whose x / tau overflows float64
         with pytest.raises(ValueError, match="overflows"):
             solver(np.array(x), HypersimplexSpec(3, k, 1e-10))
+
+
+# at tau = 0.5, EDGE / tau is the largest finite float64 and PAST_EDGE / tau
+# overflows
+EDGE = np.finfo(np.float64).max / 2
+PAST_EDGE = np.nextafter(EDGE, np.inf)
+
+
+def _overflow_boundary_cases():
+    solvers = [("project", project), ("project_bisect", project_bisect),
+               ("isotonic", project_sorted_via_isotonic), ("oracle", brute_force_project)]
+    edges = [("positive", [EDGE, 0.0], [PAST_EDGE, 0.0]),
+             ("negative", [0.0, -EDGE], [0.0, -PAST_EDGE])]
+    for (name, solver), (side, x, past), k in itertools.product(solvers, edges, (0, 1, 2)):
+        marks = ()
+        if (name, side, k) == ("oracle", "negative", 2):
+            # u_i - 1 == u_i once |u_i| >= 2^53, so two patterns tie and the
+            # oracle returns y = [2, 0] with max_violation 1
+            marks = pytest.mark.xfail(strict=True, reason="oracle loses y at |u| >= 2^53")
+        yield pytest.param(solver, x, past, k, id=f"{name}-{side}-{k}", marks=marks)
+
+
+class TestOverflowBoundary:
+    # every solver that scales x by 1/tau shares the one overflow check
+    @pytest.mark.parametrize("solver, x, past, k", _overflow_boundary_cases())
+    def test_accepts_the_edge_and_rejects_one_ulp_past_it(self, solver, x, past, k):
+        spec = HypersimplexSpec(2, k, 0.5)
+        with pytest.raises(ValueError, match="x / tau overflows float64"):
+            solver(np.array(past), spec)
+        out = solver(np.array(x), spec)
+        y = out if isinstance(out, np.ndarray) else out.y
+        assert y.tolist() == [1.0] * k + [0.0] * (2 - k)
 
 
 class TestProjectBisect:

@@ -364,7 +364,7 @@ class TestRecordsCsv:
             RunRecord("synthetic", "hypersimplex", 2048, 4, 0.5, 0.15, 40,
                       0.1 + 0.2, 1e-17),
             RunRecord("fashion_mnist", "mse", 64, 1, 2.0, 1e6, 2, 0.25,
-                      float("nan"), failed=True),
+                      float("nan")),
         ]
 
     def test_roundtrip_preserves_every_field(self, tmp_path):
@@ -417,6 +417,12 @@ class TestRecordsCsv:
         )
         with pytest.raises(ValueError, match="line 3"):
             read_records_csv(path)
+
+    def test_failed_is_derived_from_the_nan_loss(self):
+        records = self.sample_records()
+        assert [r.failed for r in records] == [False, False, True]
+        with pytest.raises(AttributeError):
+            records[0].failed = True
 
     def test_failed_flag_derived_from_nan(self, tmp_path):
         path = tmp_path / "runs.csv"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hypersimplex.verify import (
     CheckResult,
@@ -78,6 +79,17 @@ class TestRunVerify:
         res = check_oracle_agreement(num=20, seed=0, n_max=5)
         assert res.passed
 
+    @pytest.mark.parametrize("n_max", [-1, 0, 1, 13])
+    def test_oracle_check_rejects_n_max_outside_its_range(self, n_max):
+        with pytest.raises(ValueError, match="capped at n = 12"):
+            check_oracle_agreement(num=5, seed=0, n_max=n_max)
+
+    @pytest.mark.parametrize("counts", [(0, 10, 10), (10, 0, 10), (10, 10, 0), (10, 10, -1)])
+    def test_rejects_instance_counts_below_one(self, counts):
+        num_oracle, num_vectors, num_aux = counts
+        with pytest.raises(ValueError, match="must be >= 1"):
+            run_verify(num_oracle=num_oracle, num_vectors=num_vectors, num_aux=num_aux)
+
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self):
@@ -96,6 +108,16 @@ class TestGradcheck:
         a = run_gradcheck(num=15, seed=3)
         b = run_gradcheck(num=15, seed=3)
         assert a.worst_rel_err == b.worst_rel_err
+
+    @pytest.mark.parametrize("num", [0, -1])
+    def test_rejects_num_below_one(self, num):
+        with pytest.raises(ValueError, match="num must be >= 1"):
+            run_gradcheck(num=num)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-5, float("inf"), float("nan")])
+    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run_gradcheck(num=5, tol=tol)
 
 
 class TestCorruptedProject:
