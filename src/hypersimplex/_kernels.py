@@ -43,7 +43,8 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 _WINDOW = 128
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# a Python float, so that tol and k - tol stay Python floats
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 
 
 def _theta_from_sorted_numpy(u_sorted, prefix, k):
@@ -64,12 +65,12 @@ def _theta_from_sorted_numpy(u_sorted, prefix, k):
         # saturations j = idx, with b activations at or above t = u_j - 1
         t = u_sorted[idx] - 1.0
         b = n - act_asc.searchsorted(t, "left")
-        s = prefix[b] - prefix[idx]
         m = b - idx
-        return idx + s - m * t, (idx, s, m, t)
+        base = idx + (prefix[b] - prefix[idx])
+        return base - m * t, (base, m, t)
 
     j, g, sat, start = _first_hit(sat_g, 0, n, k, tol)
-    m_sat = sat[2]  # saturation j' sees b = j' + m activations
+    m_sat = sat[1]  # saturation j' sees b = j' + m activations
     # only activations ahead of saturation j (all, if none reaches k) can
     # come first in the walk
     hi = j + int(m_sat[j - start]) if j < n else n
@@ -88,9 +89,9 @@ def _theta_from_sorted_numpy(u_sorted, prefix, k):
         # activations i = idx, with a saturations strictly above t = u_i
         t = u_sorted[idx]
         a = j if sat_asc is None else j - sat_asc.searchsorted(t, "right")
-        s = prefix[idx] - prefix[a]
         m = idx - a
-        return a + s - m * t, (a, s, m, t)
+        base = a + (prefix[idx] - prefix[a])
+        return base - m * t, (base, m, t)
 
     if lo < hi:
         i, _, act, start_a = _first_hit(act_g, lo, hi, k, tol)
@@ -128,15 +129,18 @@ def _first_hit(g_at, floor, hi, k, tol):
         if start == floor or g[0] < k - tol:
             break
         start = max(2 * start - end, floor)
-    i = int((g >= k).argmax())
-    return (start + i if g[i] >= k else hi), g, comp, start
+    hit = g >= k
+    i = int(hit.argmax())
+    return (start + i if hit[i] else hi), g, comp, start
 
 
 def _theta_at(comp, e, k):
-    # theta in closed form on the segment that event e of a window opens
-    a, s, m, t = comp
-    if m[e] > 0:
-        return float(((a[e] if np.ndim(a) else a) + s[e] - k) / m[e])
+    # theta = (base - k) / m in closed form, base = a + (P[b] - P[a]), on the
+    # segment that event e of a window opens; Python floats round as numpy's do
+    base, m, t = comp
+    m_e = int(m[e])
+    if m_e > 0:
+        return float((float(base[e]) - k) / m_e)
     return float(t[e])
 
 
@@ -144,7 +148,8 @@ def _center_on_active_numpy(v, active_idx, n):
     out = np.zeros(n, dtype=np.float64)
     if active_idx.shape[0] > 0:
         va = v[active_idx]
-        va -= va.mean()
+        # the pairwise sum and division of va.mean(), without its wrapper
+        va -= va.sum() / va.shape[0]
         out[active_idx] = va
     return out
 

@@ -21,7 +21,7 @@ def _as_tangent(v, n):
     if v.shape != (n,):
         raise ValueError(f"tangent has shape {v.shape}, expected ({n},)")
     # min and max are NaN if any entry is, and infinite if any entry is
-    if not (math.isfinite(v.min()) and math.isfinite(v.max())):
+    if not (math.isfinite(np.minimum.reduce(v)) and math.isfinite(np.maximum.reduce(v))):
         raise ValueError("tangent contains NaN or Inf")
     return v
 
@@ -52,4 +52,6 @@ def loss_grad_from_residual(result, residual):
     (1/tau) J residual. At boundary points this is the one-sided
     subgradient that treats saturated coordinates as constant.
     """
-    return jvp(result, residual) / result.spec.tau
+    g = jvp(result, residual)  # a fresh array: divide in place
+    g /= result.spec.tau
+    return g

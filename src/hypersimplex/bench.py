@@ -89,10 +89,14 @@ OPS = {"project": bench_projection, "jvp": bench_jvp, "pav": bench_pav}
 
 def run_bench(sizes=DEFAULT_SIZES, reps=5, seed=0, ops=("project", "jvp")):
     """Rows for each op in ops, in OPS order; pav (an interpreted loop) runs
-    only when asked. Unknown ops and reps < 1 raise ValueError."""
+    only when asked. Unknown ops, sizes that are not integers >= 1 and
+    reps < 1 raise ValueError before anything is timed."""
     for op in ops:
         if op not in OPS:
             raise ValueError(f"unknown bench op {op!r}; expected some of {', '.join(OPS)}")
+    for n in sizes:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"bench sizes must be integers >= 1, got {n!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     rows = []

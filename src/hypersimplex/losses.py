@@ -31,16 +31,17 @@ def _as_scores_labels(scores, labels):
     n, C = scores.shape
     if C < 2:
         raise ValueError(f"need at least 2 classes, got {C}")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("scores contain NaN or Inf")
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"labels have shape {labels.shape}, expected ({n},)")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size and (labels.min() < 0 or labels.max() >= C):
-        raise ValueError(f"labels must lie in [0, {C}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
+    if labels.size:
+        lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
+        if lo < 0 or hi >= C:
+            raise ValueError(f"labels must lie in [0, {C}), got range [{lo}, {hi}]")
     return scores, labels.astype(np.int64), n, C
 
 
@@ -160,13 +161,13 @@ def hypersimplex_loss_multiclass(batch):
     if not isinstance(batch, ClassBatch):
         raise TypeError("batch must be a ClassBatch")
     n, C = batch.logits.shape
-    k_per_class = batch.k_per_class
+    targets = batch.labels[:, None] == np.arange(C)  # column c: label == c
     value = 0.0
     grad = np.empty((n, C))
-    for c in range(C):
-        spec = HypersimplexSpec(n, int(k_per_class[c]), batch.tau)
+    for c, k in enumerate(batch.k_per_class.tolist()):
+        spec = HypersimplexSpec(n, k, batch.tau)
         result = project(batch.logits[:, c], spec)
-        resid = result.y - (batch.labels == c)
+        resid = result.y - targets[:, c]
         value += 0.5 * float(np.dot(resid, resid))
         grad[:, c] = loss_grad_from_residual(result, resid)
     return LossEval(value=value, grad=grad)

@@ -96,8 +96,9 @@ def _as_score_vector(x, spec=None):
         raise ValueError(f"expected a 1-D score vector, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("score vector must be non-empty")
-    # min and max are NaN if any entry is, and infinite if any entry is
-    lo, hi = float(x.min()), float(x.max())
+    # min and max are NaN if any entry is, and infinite if any entry is;
+    # the reduce ufuncs skip ndarray.min/max's Python wrappers
+    lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("score vector contains NaN or Inf")
     if spec is not None and x.size != spec.n:
@@ -130,15 +131,15 @@ def _prefix_sums(v):
     reads, accumulated left to right."""
     prefix = np.empty(v.shape[0] + 1)
     prefix[0] = 0.0
-    np.cumsum(v, out=prefix[1:])
+    np.add.accumulate(v, out=prefix[1:])  # the ufunc np.cumsum wraps
     return prefix
 
 
 def _classify(y, theta, spec):
     at_one = y >= 1.0 - BOUNDARY_TOL
     at_zero = y <= BOUNDARY_TOL
-    active = np.logical_or(at_one, at_zero)
-    np.logical_not(active, out=active)
+    # the two masks are disjoint, so they agree exactly where both are False
+    active = at_one == at_zero
     return ProjectionResult(
         y=y,
         active=active.nonzero()[0],
@@ -171,11 +172,15 @@ def project(x, spec):
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
-    u_sorted = np.sort(u)[::-1]
+    # np.sort(u)[::-1] without np.sort's wrapper: the same copy and sort
+    u_sorted = u.copy()
+    u_sorted.sort()
+    u_sorted = u_sorted[::-1]
     theta = _kernels._theta_from_sorted_numpy(
         u_sorted, _prefix_sums(u_sorted), float(spec.k))
-    # u is ours: clip y into its buffer
-    y = np.clip(np.subtract(u, theta, out=u), 0.0, 1.0, out=u)
+    # u is ours: clip y into its buffer. ndarray.clip is the clip ufunc,
+    # which keeps -0.0; np.maximum/np.minimum would turn it into +0.0
+    y = np.subtract(u, theta, out=u).clip(0.0, 1.0, out=u)
     return _classify(y, theta, spec)
 
 

@@ -208,6 +208,18 @@ class TestBenchCommand:
         assert "reps must be >= 1" in err
         assert out == ""
 
+    def test_bad_size_exits_2_before_timing(self, capsys):
+        # n = 3 is valid and comes first; nothing is timed or printed
+        code, out, err = run_cli(capsys, "bench", "--sizes", "3,-4", "--reps", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bench sizes must be integers >= 1, got -4\n"
+
+    @pytest.mark.parametrize("size", [0, -4, 2.5, True])
+    def test_run_bench_rejects_bad_size(self, size):
+        with pytest.raises(ValueError, match="bench sizes must be integers >= 1"):
+            run_bench(sizes=(3, size), reps=1)
+
     def test_run_bench_rejects_unknown_op(self):
         with pytest.raises(ValueError, match="unknown bench op 'projct'"):
             run_bench(sizes=(512,), reps=1, ops=("projct",))

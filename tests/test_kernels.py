@@ -81,6 +81,23 @@ class TestThetaFromSorted:
         th = _theta_from_sorted_numpy(u, prefix, float(k))
         assert th == _theta_from_sorted_py(u, prefix, float(k))
 
+    def test_equals_scalar_walk_exactly_up_to_n_200(self):
+        # every k in [1, n - 1], and each n with one of three input kinds:
+        # Gaussian, ties on a 0.25 grid and a 1e3 offset; sorted and summed
+        # as project does, and compared with ==, not a tolerance
+        rng = np.random.default_rng(83)
+        cases = 0
+        for n in range(1, 201):
+            x = rng.normal(0, 1, n)
+            x = (x, np.round(x * 4.0) / 4.0, 1e3 + x)[n % 3]
+            u_sorted = np.sort(x)[::-1]
+            prefix = _prefix_sums(u_sorted)
+            for k in range(1, n):
+                th = _theta_from_sorted_numpy(u_sorted, prefix, float(k))
+                assert th == _theta_from_sorted_py(u_sorted, prefix, float(k)), (n, k)
+                cases += 1
+        assert cases == 199 * 200 // 2
+
     def test_duplicate_values(self):
         u = np.array([2.0, 2.0, 2.0, 0.0])
         prefix = np.concatenate(([0.0], np.cumsum(u)))
@@ -95,6 +112,16 @@ class TestThetaFromSorted:
         assert th == pytest.approx(0.25, abs=1e-12)
 
 
+class TestPrefixSums:
+    def test_same_bytes_as_cumsum_after_zero(self):
+        rng = np.random.default_rng(84)
+        for n in (1, 2, 7, 32, 1000):
+            for v in (rng.normal(0, 1, n), 1e3 + rng.normal(0, 1, n),
+                      np.round(rng.normal(0, 1, n) * 4.0) / 4.0):
+                expected = np.array([0.0, *np.cumsum(v)])
+                assert _prefix_sums(v).tobytes() == expected.tobytes()
+
+
 class TestCenterOnActive:
     def test_backends_agree(self):
         rng = np.random.default_rng(81)
@@ -106,6 +133,19 @@ class TestCenterOnActive:
             np.testing.assert_allclose(_center_on_active_numpy(v, active, n),
                                        _center_on_active_py(v, active, n),
                                        atol=1e-15)
+
+    def test_same_bytes_as_scatter_of_centred_gather(self):
+        rng = np.random.default_rng(85)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            v = rng.normal(0, 2, n) + float(rng.choice([0.0, 1e3]))
+            m = int(rng.integers(0, n + 1))
+            active = np.sort(rng.permutation(n)[:m]).astype(np.int64)
+            expected = np.zeros(n)
+            if m:
+                expected[active] = v[active] - v[active].mean()
+            out = _center_on_active_numpy(v, active, n)
+            assert out.tobytes() == expected.tobytes()
 
     def test_zero_mean_on_active_and_zero_off_active(self):
         rng = np.random.default_rng(82)

@@ -10,6 +10,7 @@ from hypersimplex import (
     hinge_loss,
     hypersimplex_loss,
     hypersimplex_loss_multiclass,
+    loss_grad_from_residual,
     project,
     squared_loss,
     zero_one_loss,
@@ -254,6 +255,25 @@ class TestHypersimplexLossMulticlass:
             np.testing.assert_allclose(ev.grad[:, c], binary.grad, atol=1e-12)
             total += binary.value
         assert ev.value == pytest.approx(total, abs=1e-12)
+
+    def test_equals_per_column_loop_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            n, C = int(rng.integers(2, 40)), int(rng.integers(2, 6))
+            logits = rng.normal(0, 2, (n, C))
+            labels = rng.integers(0, C, n)
+            tau = float(rng.choice([0.5, 1.0]))
+            ev = hypersimplex_loss_multiclass(ClassBatch(logits, labels, tau))
+            value = 0.0
+            grad = np.empty((n, C))
+            for c in range(C):
+                k = int(np.count_nonzero(labels == c))
+                res = project(logits[:, c], HypersimplexSpec(n, k, tau))
+                resid = res.y - (labels == c)
+                value += 0.5 * float(np.dot(resid, resid))
+                grad[:, c] = loss_grad_from_residual(res, resid)
+            assert ev.value == value
+            assert ev.grad.tobytes() == grad.tobytes()
 
     def test_absent_class_contributes_nothing(self):
         rng = np.random.default_rng(68)

@@ -166,6 +166,27 @@ class TestProject:
             assert np.all(res.y[res.active] > BOUNDARY_TOL)
             assert np.all(res.y[res.active] < 1.0 - BOUNDARY_TOL)
 
+    def test_y_has_the_bytes_of_the_clip_form(self):
+        # y is clip(x / tau - theta, 0, 1) bit for bit, -0.0 included, for
+        # 0 < k < n (k = 0 and k = n return the exact corner)
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            x = rng.normal(0, 2, n)
+            if rng.integers(0, 2):
+                x = np.round(x * 4.0) / 4.0
+            tau = float(rng.choice([0.1, 1.0, 3.0]))
+            res = project(x, HypersimplexSpec(n, int(rng.integers(1, n)), tau))
+            expected = np.clip(x / tau - res.theta, 0.0, 1.0)
+            assert res.y.tobytes() == expected.tobytes()
+
+    def test_negative_zero_survives_the_clip(self):
+        x = np.array([0.5, 0.5, -0.0, -0.0])
+        res = project(x, HypersimplexSpec(4, 1, 1.0))
+        assert res.theta == 0.0
+        assert res.y.tobytes() == np.clip(x - res.theta, 0.0, 1.0).tobytes()
+        assert list(np.signbit(res.y)) == [False, False, True, True]
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
