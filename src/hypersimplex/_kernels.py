@@ -1,11 +1,14 @@
 """Hot numeric kernels of the hypersimplex projection.
 
-``_theta_from_sorted_numpy`` solves for the clip threshold,
-``_center_on_active_numpy`` applies the Jacobian, and ``_pav_decreasing``
-is the pool-adjacent-violators loop behind the isotonic route. Each is the
-one implementation its callers use.
+The clip threshold has two solvers with bit-identical results:
+``_theta_from_sorted_py``, a scalar breakpoint walk that ``projection``
+runs on Python floats for small n, and ``_theta_from_sorted_numpy``, a
+bracketed search for large n. ``_center_on_active_numpy`` applies the
+Jacobian, and ``_pav_decreasing`` is the pool-adjacent-violators loop
+behind the isotonic route.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -154,16 +157,19 @@ def _center_on_active_numpy(v, active_idx, n):
     return out
 
 
-# Scalar reference implementations: the tests compare the numpy kernels
-# against these walks, so they stay as written, however slow.
+# Scalar walks. The tests compare the numpy kernels against them, so each
+# does the same arithmetic in the same order as its kernel.
+# ``_theta_from_sorted_py`` is also the small-n threshold solve: on the
+# lists of ``ndarray.tolist()`` it skips numpy's fixed cost per call, and
+# on arrays it returns the same value.
 def _theta_from_sorted_py(u_sorted, prefix, k):
     # Two-pointer walk over breakpoints; a = coords pinned at one, [a, b) active.
-    n = u_sorted.shape[0]
+    n = len(u_sorted)
     a = 0
     b = 0
     while a < n or b < n:
-        t_act = u_sorted[b] if b < n else -np.inf
-        t_sat = u_sorted[a] - 1.0 if a < n else -np.inf
+        t_act = u_sorted[b] if b < n else -math.inf
+        t_sat = u_sorted[a] - 1.0 if a < n else -math.inf
         t = t_act if t_act >= t_sat else t_sat
         s_act = prefix[b] - prefix[a]
         m = b - a

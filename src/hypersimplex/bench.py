@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .backward import jvp
-from .projection import HypersimplexSpec, _prefix_sums, project
+from .projection import HypersimplexSpec, _prefix_sums, _solve_theta, project
 
 DEFAULT_SIZES = tuple(2**p for p in range(14, 23))
 
@@ -54,7 +54,7 @@ def bench_projection(sizes, reps, seed=0):
         k = float(spec.k)
         rows.append(
             BenchRow("project_theta_solve", n, _median_ns(
-                lambda: _kernels._theta_from_sorted_numpy(u_sorted, prefix, k), reps))
+                lambda: _solve_theta(u_sorted, prefix, k), reps))
         )
     return rows
 

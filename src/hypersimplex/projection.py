@@ -128,11 +128,40 @@ def hard_topk(x, k):
 
 def _prefix_sums(v):
     """[0, v_0, v_0 + v_1, ...]: the n + 1 running sums the threshold solve
-    reads, accumulated left to right."""
-    prefix = np.empty(v.shape[0] + 1)
+    reads, accumulated left to right.
+
+    v is sorted, so its ends bound |v|. Raises ValueError if a running sum
+    overflows float64.
+    """
+    n = v.shape[0]
+    prefix = np.empty(n + 1)
     prefix[0] = 0.0
-    np.add.accumulate(v, out=prefix[1:])  # the ufunc np.cumsum wraps
+    # |each running sum| <= n * max|v| up to rounding, so numpy can warn of
+    # an overflow only when that bound (doubled for the rounding) overflows
+    big = max(abs(float(v[0])), abs(float(v[-1])))
+    if math.isfinite(2.0 * n * big):
+        np.add.accumulate(v, out=prefix[1:])  # the ufunc np.cumsum wraps
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate(v, out=prefix[1:])
+    # inf and NaN propagate, so the last sum is finite iff every one is
+    if not math.isfinite(prefix[-1]):
+        raise ValueError("running sums of x / tau overflow float64; raise tau or rescale x")
     return prefix
+
+
+# Largest n whose threshold the scalar walk solves: its loop on Python
+# floats beats the fixed cost of the numpy kernel's ~27 numpy calls up to
+# here, and loses above it once k nears n.
+_WALK_MAX_N = 64
+
+
+def _solve_theta(u_sorted, prefix, k):
+    """theta with sum(clip(u_sorted - theta, 0, 1)) = k, at the first
+    breakpoint of the walk that reaches k; both solvers give the same bits."""
+    if u_sorted.shape[0] <= _WALK_MAX_N:
+        return _kernels._theta_from_sorted_py(u_sorted.tolist(), prefix.tolist(), k)
+    return _kernels._theta_from_sorted_numpy(u_sorted, prefix, k)
 
 
 def _classify(y, theta, spec):
@@ -163,10 +192,13 @@ def project(x, spec):
     Returns the unique minimizer of ||y - x/tau||^2 over the hypersimplex,
     computed by sorting the values of x / tau and finding the first
     breakpoint of the piecewise-linear map
-    theta -> sum(clip(x_i/tau - theta, 0, 1)) where it reaches k: a 128-way
-    search brackets that breakpoint and one vectorised pass over a window
-    of about 128 breakpoints pins it, without building the merged list of
-    all 2n breakpoints. O(n log n) total, dominated by the value sort.
+    theta -> sum(clip(x_i/tau - theta, 0, 1)) where it reaches k. Up to
+    n = 64 a scalar walk over the breakpoints on Python floats finds it;
+    above that a 128-way search brackets it and one vectorised pass over a
+    window of about 128 breakpoints pins it, without building the merged
+    list of all 2n breakpoints. Both give the same theta to the bit.
+    O(n log n) total, dominated by the value sort. Raises ValueError if
+    x / tau or its running sums overflow float64.
     """
     x = _as_score_vector(x, spec)
     u = x / spec.tau
@@ -176,8 +208,7 @@ def project(x, spec):
     u_sorted = u.copy()
     u_sorted.sort()
     u_sorted = u_sorted[::-1]
-    theta = _kernels._theta_from_sorted_numpy(
-        u_sorted, _prefix_sums(u_sorted), float(spec.k))
+    theta = _solve_theta(u_sorted, _prefix_sums(u_sorted), float(spec.k))
     # u is ours: clip y into its buffer. ndarray.clip is the clip ufunc,
     # which keeps -0.0; np.maximum/np.minimum would turn it into +0.0
     y = np.subtract(u, theta, out=u).clip(0.0, 1.0, out=u)

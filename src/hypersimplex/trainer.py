@@ -143,7 +143,7 @@ def loss_layer(name, scores, labels, tau):
         ev = hypersimplex_loss_multiclass(ClassBatch.from_labels(scores, labels, tau=tau))
         n = scores.shape[0]
         ev.value /= n
-        ev.grad = ev.grad / n
+        ev.grad /= n  # a fresh array; the same bits as ev.grad / n
         return ev
     raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
 

@@ -57,6 +57,16 @@ class TestProjectCommand:
         # the check runs before the division, so numpy prints no warning
         assert err == "error: x / tau overflows float64; raise tau or rescale x\n"
 
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_overflowing_running_sums_exit_2(self, capsys, copies):
+        # each x / tau is finite at tau = 0.5, their running sums are not
+        half_max = repr(float(np.finfo(np.float64).max / 2))
+        code, out, err = run_cli(capsys, "project", "--x", f"{half_max}," * copies + "0",
+                                 "--k", "1", "--tau", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: running sums of x / tau overflow float64; raise tau or rescale x\n"
+
     def test_x_and_file_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("1\n2\n")
@@ -219,6 +229,13 @@ class TestBenchCommand:
     def test_run_bench_rejects_bad_size(self, size):
         with pytest.raises(ValueError, match="bench sizes must be integers >= 1"):
             run_bench(sizes=(3, size), reps=1)
+
+    def test_run_bench_times_the_small_n_solve(self):
+        # sizes at or below the walk cutoff time the solve project runs there
+        rows = run_bench(sizes=(32, 64), reps=1, ops=("project",))
+        assert [(r.op, r.n) for r in rows] == [
+            (op, n) for n in (32, 64)
+            for op in ("project", "project_sort", "project_theta_solve")]
 
     def test_run_bench_rejects_unknown_op(self):
         with pytest.raises(ValueError, match="unknown bench op 'projct'"):

@@ -84,7 +84,8 @@ class TestThetaFromSorted:
     def test_equals_scalar_walk_exactly_up_to_n_200(self):
         # every k in [1, n - 1], and each n with one of three input kinds:
         # Gaussian, ties on a 0.25 grid and a 1e3 offset; sorted and summed
-        # as project does, and compared with ==, not a tolerance
+        # as project does, and compared with ==, not a tolerance. The walk
+        # gives the same theta on arrays and on their lists of Python floats
         rng = np.random.default_rng(83)
         cases = 0
         for n in range(1, 201):
@@ -92,9 +93,11 @@ class TestThetaFromSorted:
             x = (x, np.round(x * 4.0) / 4.0, 1e3 + x)[n % 3]
             u_sorted = np.sort(x)[::-1]
             prefix = _prefix_sums(u_sorted)
+            u_list, prefix_list = u_sorted.tolist(), prefix.tolist()
             for k in range(1, n):
                 th = _theta_from_sorted_numpy(u_sorted, prefix, float(k))
                 assert th == _theta_from_sorted_py(u_sorted, prefix, float(k)), (n, k)
+                assert th == _theta_from_sorted_py(u_list, prefix_list, float(k)), (n, k)
                 cases += 1
         assert cases == 199 * 200 // 2
 

@@ -11,7 +11,7 @@ from hypersimplex import (
     project_bisect,
     project_rows,
 )
-from hypersimplex._kernels import _theta_from_sorted_py
+from hypersimplex._kernels import _theta_from_sorted_numpy
 from hypersimplex.isotonic import project_sorted_via_isotonic
 from hypersimplex.oracle import brute_force_project
 from hypersimplex.projection import _prefix_sums
@@ -231,7 +231,8 @@ class TestProject:
             )
 
     def test_backends_agree(self):
-        # the projection against the clip at the scalar walk's threshold
+        # the projection against the clip at the numpy kernel's threshold;
+        # below n = 40 project itself solves with the scalar walk
         rng = np.random.default_rng(17)
         for _ in range(200):
             n = int(rng.integers(2, 40))
@@ -239,7 +240,7 @@ class TestProject:
             x = rng.normal(0, 2, n)
             u = x / spec.tau
             u_sorted = np.sort(u)[::-1]
-            theta_ref = _theta_from_sorted_py(
+            theta_ref = _theta_from_sorted_numpy(
                 u_sorted, _prefix_sums(u_sorted), float(spec.k))
             np.testing.assert_allclose(
                 project(x, spec).y, np.clip(u - theta_ref, 0.0, 1.0), atol=1e-12)
@@ -251,6 +252,35 @@ class TestProject:
         # finite scores whose x / tau overflows float64
         with pytest.raises(ValueError, match="overflows"):
             solver(np.array(x), HypersimplexSpec(3, k, 1e-10))
+
+    def test_same_bits_as_the_numpy_kernel_route(self):
+        # up to n = 64 project solves theta with the scalar walk on Python
+        # floats; its theta and y must equal the numpy kernel's to the bit
+        # on both sides of that cutoff, for every 0 < k < n. At tau = 1 the
+        # grid and the 0.25 plateau tie activations with saturations exactly
+        rng = np.random.default_rng(86)
+        for n in range(1, 81):
+            g = rng.normal(0, 1, n)
+            signed_zeros = g.copy()
+            signed_zeros[rng.permutation(n)[:n // 2]] = 0.0
+            signed_zeros[rng.permutation(n)[:n // 3]] = -0.0
+            kinds = {"gaussian": g, "grid": np.round(g * 4.0) / 4.0,
+                     "offset": 1e3 + g, "signed-zeros": signed_zeros}
+            for k in range(1, n):
+                for level in (0.25, 1.0 / 3.0):
+                    # k entries at level + 1: the clip sum is k on a whole run
+                    kinds[f"plateau-{level}"] = np.full(n, level)
+                    kinds[f"plateau-{level}"][rng.permutation(n)[:k]] += 1.0
+                for name, x in kinds.items():
+                    spec = HypersimplexSpec(n, k, 1.0)
+                    res = project(x, spec)
+                    u = x / spec.tau
+                    u_sorted = np.sort(u)[::-1]
+                    theta = _theta_from_sorted_numpy(
+                        u_sorted, _prefix_sums(u_sorted), float(k))
+                    case = (name, n, k)
+                    assert res.theta == theta, case
+                    assert res.y.tobytes() == (u - theta).clip(0.0, 1.0).tobytes(), case
 
 
 # at tau = 0.5, EDGE / tau is the largest finite float64 and PAST_EDGE / tau
@@ -283,6 +313,16 @@ class TestOverflowBoundary:
         out = solver(np.array(x), spec)
         y = out if isinstance(out, np.ndarray) else out.y
         assert y.tolist() == [1.0] * k + [0.0] * (2 - k)
+
+
+class TestRunningSumOverflow:
+    # finite x / tau whose running sums overflow float64: rejected, with no
+    # numpy warning (pytest turns RuntimeWarning into an error)
+    @pytest.mark.parametrize("solver", [project, project_sorted_via_isotonic])
+    @pytest.mark.parametrize("x", [[EDGE, EDGE, 0.0], [EDGE, EDGE, EDGE, 0.0]])
+    def test_rejected(self, solver, x):
+        with pytest.raises(ValueError, match="running sums of x / tau overflow"):
+            solver(np.array(x), HypersimplexSpec(len(x), 1, 0.5))
 
 
 class TestProjectBisect:
