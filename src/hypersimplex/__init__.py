@@ -28,7 +28,6 @@ from .projection import (
     hard_topk,
     project,
     project_bisect,
-    project_rows,
 )
 from .trainer import (
     Dataset,
@@ -73,7 +72,6 @@ __all__ = [
     "pav_decreasing",
     "project",
     "project_bisect",
-    "project_rows",
     "project_sorted_via_isotonic",
     "squared_loss",
     "sweep",

@@ -136,27 +136,22 @@ class ClassBatch:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tau", _as_temperature(self.tau))
 
-    @property
-    def k_per_class(self):
-        """k_c for each class c: its label count in the batch."""
-        return np.bincount(self.labels, minlength=self.logits.shape[1])
-
     @classmethod
     def from_labels(cls, logits, labels, tau=1.0):
-        """Same as ClassBatch(logits, labels, tau)."""
+        """Same as ClassBatch(logits, labels, tau); kept as the name the
+        benchmark's traced run patches."""
         return cls(logits, labels, tau)
 
 
 def hypersimplex_loss_multiclass(batch):
-    """Sum over classes of the binary hypersimplex loss on each class column.
+    """Mean over samples of the binary hypersimplex loss summed over classes.
 
-    Value is (1/2) sum_c ||p_c - y_c||^2 where p_c projects logit column c
-    onto the (n, k_c)-hypersimplex at the batch temperature tau and y_c is
-    the indicator of label c; grad column c is the corresponding chained
-    residual. The reduction is a sum, not a mean; trainers divide by the
-    batch size when they want per-sample scale. A class absent from the
-    batch (k_c = 0) contributes nothing. Class columns are independent,
-    so they may be evaluated in any order or in parallel.
+    Value is (1/2n) sum_c ||p_c - y_c||^2 where p_c projects logit column c
+    onto the (n, k_c)-hypersimplex at the batch temperature tau, k_c is the
+    count of label c in the batch and y_c is its indicator; grad column c
+    is the corresponding chained residual over n. A class absent from the
+    batch (k_c = 0) contributes nothing. Class columns are independent, so
+    they may be evaluated in any order or in parallel.
     """
     if not isinstance(batch, ClassBatch):
         raise TypeError("batch must be a ClassBatch")
@@ -164,10 +159,11 @@ def hypersimplex_loss_multiclass(batch):
     targets = batch.labels[:, None] == np.arange(C)  # column c: label == c
     value = 0.0
     grad = np.empty((n, C))
-    for c, k in enumerate(batch.k_per_class.tolist()):
+    for c, k in enumerate(np.bincount(batch.labels, minlength=C).tolist()):
         spec = HypersimplexSpec(n, k, batch.tau)
         result = project(batch.logits[:, c], spec)
         resid = result.y - targets[:, c]
         value += 0.5 * float(np.dot(resid, resid))
         grad[:, c] = loss_grad_from_residual(result, resid)
-    return LossEval(value=value, grad=grad)
+    grad /= n
+    return LossEval(value=value / n, grad=grad)

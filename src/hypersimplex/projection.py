@@ -261,21 +261,3 @@ def project_bisect(x, spec):
     y = np.clip(u - theta, 0.0, 1.0)
     return _classify(y, theta, spec)
 
-
-def project_rows(X, k, tau):
-    """Row-wise projection of a matrix; returns (Y, thetas).
-
-    Each row is projected independently with the same (k, tau), so rows may
-    be processed in parallel by callers; results do not depend on order.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-    spec = HypersimplexSpec(X.shape[1], k, tau)
-    Y = np.empty_like(X)
-    thetas = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        res = project(X[i], spec)
-        Y[i] = res.y
-        thetas[i] = res.theta
-    return Y, thetas

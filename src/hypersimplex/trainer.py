@@ -129,9 +129,7 @@ def loss_layer(name, scores, labels, tau):
     """Mean-reduced loss value and dL/dscores for one batch.
 
     The hypersimplex layer projects each class column over the batch with
-    k_c taken from the batch's own label counts, then divides the
-    sum-form loss by the batch size so learning rates stay comparable
-    across batch sizes (the normalization recorded in RunRecord).
+    k_c taken from the batch's own label counts; tau applies to it alone.
     """
     if name == "ce":
         return cross_entropy_loss(scores, labels)
@@ -140,11 +138,7 @@ def loss_layer(name, scores, labels, tau):
     if name == "mse":
         return squared_loss(scores, labels)
     if name == "hypersimplex":
-        ev = hypersimplex_loss_multiclass(ClassBatch.from_labels(scores, labels, tau=tau))
-        n = scores.shape[0]
-        ev.value /= n
-        ev.grad /= n  # a fresh array; the same bits as ev.grad / n
-        return ev
+        return hypersimplex_loss_multiclass(ClassBatch.from_labels(scores, labels, tau=tau))
     raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
 
 
@@ -152,8 +146,7 @@ def loss_layer(name, scores, labels, tau):
 class RunRecord:
     """Metrics of one trained (loss, batch, seed) cell.
 
-    Loss values are mean-reduced per sample for every loss, including the
-    hypersimplex layer (sum form divided by batch size); best_test_acc is
+    Loss values are mean-reduced per sample for every loss; best_test_acc is
     the maximum test accuracy over all epoch boundaries including the
     untrained model. A diverged run keeps the accuracies seen before the
     divergence and stores NaN as final_train_loss, which is what failed
@@ -418,10 +411,6 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
                 value = loss_layer(loss_name, final_scores, y_train, tau).value
                 if math.isfinite(value):
                     final_train_loss = value
-                else:
-                    failed = True
-            else:
-                failed = True
     return RunRecord(
         dataset=dataset.name,
         loss=loss_name,

@@ -15,6 +15,7 @@ from hypersimplex import (
     squared_loss,
     zero_one_loss,
 )
+from hypersimplex.projection import _WALK_MAX_N
 
 
 def fd_scalar_grad(f, X, h=1e-6):
@@ -175,35 +176,27 @@ class TestHypersimplexLoss:
                               HypersimplexSpec(2, 1, 1.0))
 
 
+def per_column_reference(logits, labels, tau, ks):
+    """The multiclass loss built column by column from the binary loss with
+    the given k_c, mean-reduced over the n samples."""
+    n, C = logits.shape
+    value = 0.0
+    grad = np.empty((n, C))
+    for c in range(C):
+        binary = hypersimplex_loss(logits[:, c], (labels == c).astype(float),
+                                   HypersimplexSpec(n, ks[c], tau))
+        value += binary.value
+        grad[:, c] = binary.grad
+    return value / n, grad / n
+
+
 class TestClassBatch:
     def test_from_labels_builds_consistent_batch(self):
         rng = np.random.default_rng(66)
         logits = rng.normal(0, 1, (6, 3))
         batch = ClassBatch.from_labels(logits, np.array([0, 0, 1, 2, 2, 2]), tau=0.5)
-        assert batch.k_per_class.tolist() == [2, 1, 3]
         assert batch.tau == 0.5
         assert batch.labels.tolist() == [0, 0, 1, 2, 2, 2]
-
-    def test_counts_positives_per_class(self):
-        batch = ClassBatch(np.zeros((4, 3)), np.array([0, 0, 1, 2]))
-        assert batch.k_per_class.tolist() == [2, 1, 1]
-
-    def test_single_class_batch_counts(self):
-        batch = ClassBatch(np.zeros((4, 3)), np.zeros(4, dtype=np.int64))
-        assert batch.k_per_class.tolist() == [4, 0, 0]
-
-    def test_k_per_class_sums_to_batch_size(self):
-        rng = np.random.default_rng(65)
-        for _ in range(50):
-            n, C = int(rng.integers(1, 30)), int(rng.integers(2, 6))
-            batch = ClassBatch(np.zeros((n, C)), rng.integers(0, C, n))
-            assert batch.k_per_class.shape == (C,)
-            assert batch.k_per_class.sum() == n
-
-    def test_k_per_class_is_not_settable(self):
-        batch = ClassBatch(np.zeros((2, 2)), np.array([0, 1]))
-        with pytest.raises(AttributeError):
-            batch.k_per_class = np.array([2, 0])
 
     def test_rejects_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -233,6 +226,12 @@ class TestClassBatch:
 
 
 class TestHypersimplexLossMulticlass:
+    def assert_uses_counts(self, logits, labels, tau, ks):
+        ev = hypersimplex_loss_multiclass(ClassBatch(logits, labels, tau))
+        value, grad = per_column_reference(logits, labels, tau, ks)
+        assert ev.value == value
+        assert ev.grad.tobytes() == grad.tobytes()
+
     def test_zero_on_exactly_projectable_logits(self):
         # columns already sit at hypersimplex vertices far from the threshold
         labels = np.array([0, 1, 1])
@@ -243,45 +242,59 @@ class TestHypersimplexLossMulticlass:
         np.testing.assert_allclose(ev.grad, 0.0, atol=1e-15)
 
     def test_single_column_reduces_to_binary_loss(self):
-        # each column is the binary loss with k_c from the labels
+        # each column is the binary loss with k_c from the labels, over n
         rng = np.random.default_rng(67)
         logits = rng.normal(0, 1, (5, 2))
         labels = np.array([1, 0, 1, 1, 0])
-        ev = hypersimplex_loss_multiclass(ClassBatch(logits, labels, tau=0.7))
-        total = 0.0
-        for c, k in enumerate([2, 3]):
-            binary = hypersimplex_loss(logits[:, c], (labels == c).astype(float),
-                                       HypersimplexSpec(5, k, 0.7))
-            np.testing.assert_allclose(ev.grad[:, c], binary.grad, atol=1e-12)
-            total += binary.value
-        assert ev.value == pytest.approx(total, abs=1e-12)
+        self.assert_uses_counts(logits, labels, 0.7, [2, 3])
+
+    def test_counts_label_occurrences_per_class(self):
+        rng = np.random.default_rng(72)
+        logits = rng.normal(0, 1, (6, 3))
+        self.assert_uses_counts(logits, np.array([0, 0, 1, 2, 2, 2]), 0.5, [2, 1, 3])
+        self.assert_uses_counts(logits[:4], np.array([0, 0, 1, 2]), 1.0, [2, 1, 1])
+
+    def test_single_class_batch_counts(self):
+        rng = np.random.default_rng(73)
+        logits = rng.normal(0, 1, (4, 3))
+        self.assert_uses_counts(logits, np.zeros(4, dtype=np.int64), 1.0, [4, 0, 0])
+
+    def test_counts_sum_to_batch_size(self):
+        rng = np.random.default_rng(65)
+        for _ in range(50):
+            n, C = int(rng.integers(1, 30)), int(rng.integers(2, 6))
+            labels = rng.integers(0, C, n)
+            ks = [int(np.count_nonzero(labels == c)) for c in range(C)]
+            assert sum(ks) == n
+            self.assert_uses_counts(rng.normal(0, 1, (n, C)), labels, 1.0, ks)
 
     def test_equals_per_column_loop_bit_for_bit(self):
         rng = np.random.default_rng(71)
-        for _ in range(100):
-            n, C = int(rng.integers(2, 40)), int(rng.integers(2, 6))
-            logits = rng.normal(0, 2, (n, C))
-            labels = rng.integers(0, C, n)
-            tau = float(rng.choice([0.5, 1.0]))
-            ev = hypersimplex_loss_multiclass(ClassBatch(logits, labels, tau))
-            value = 0.0
-            grad = np.empty((n, C))
-            for c in range(C):
-                k = int(np.count_nonzero(labels == c))
-                res = project(logits[:, c], HypersimplexSpec(n, k, tau))
-                resid = res.y - (labels == c)
-                value += 0.5 * float(np.dot(resid, resid))
-                grad[:, c] = loss_grad_from_residual(res, resid)
-            assert ev.value == value
-            assert ev.grad.tobytes() == grad.tobytes()
+        # columns longer than the walk's limit solve theta with the numpy kernel
+        assert _WALK_MAX_N < 300
+        for n_lo, n_hi, cases in ((2, 40, 100), (40, 301, 40)):
+            for _ in range(cases):
+                n, C = int(rng.integers(n_lo, n_hi)), int(rng.integers(2, 6))
+                logits = rng.normal(0, 2, (n, C))
+                labels = rng.integers(0, C, n)
+                tau = float(rng.choice([0.5, 1.0]))
+                ev = hypersimplex_loss_multiclass(ClassBatch(logits, labels, tau))
+                total = 0.0
+                ref = np.empty((n, C))
+                for c in range(C):
+                    k = int(np.count_nonzero(labels == c))
+                    res = project(logits[:, c], HypersimplexSpec(n, k, tau))
+                    resid = res.y - (labels == c)
+                    total += 0.5 * float(np.dot(resid, resid))
+                    ref[:, c] = loss_grad_from_residual(res, resid)
+                assert ev.value == total / n
+                assert ev.grad.tobytes() == (ref / n).tobytes()
 
     def test_absent_class_contributes_nothing(self):
         rng = np.random.default_rng(68)
         logits = rng.normal(0, 1, (4, 3))
         labels = np.array([0, 0, 1, 1])  # class 2 absent: k_2 = 0
-        batch = ClassBatch.from_labels(logits, labels)
-        ev = hypersimplex_loss_multiclass(batch)
-        assert batch.k_per_class[2] == 0
+        ev = hypersimplex_loss_multiclass(ClassBatch.from_labels(logits, labels))
         np.testing.assert_allclose(ev.grad[:, 2], 0.0, atol=1e-15)
         assert math.isfinite(ev.value)
 
@@ -292,7 +305,7 @@ class TestHypersimplexLossMulticlass:
             logits = rng.normal(0, 1, (n, C))
             labels = rng.integers(0, C, n)
             ev = hypersimplex_loss_multiclass(ClassBatch.from_labels(logits, labels))
-            np.testing.assert_allclose(ev.grad.sum(axis=0), 0.0, atol=1e-9)
+            np.testing.assert_allclose(ev.grad.sum(axis=0) * n, 0.0, atol=1e-9)
 
     def test_gradient_matches_finite_differences_away_from_boundaries(self):
         rng = np.random.default_rng(70)
@@ -304,7 +317,8 @@ class TestHypersimplexLossMulticlass:
             # screen each class column away from its active-set changes
             margin = np.inf
             for c in range(3):
-                res = project(logits[:, c], HypersimplexSpec(8, int(batch.k_per_class[c]), 1.0))
+                k = int(np.count_nonzero(labels == c))
+                res = project(logits[:, c], HypersimplexSpec(8, k, 1.0))
                 d = logits[:, c] - res.theta
                 margin = min(margin, float(np.min(np.minimum(np.abs(d), np.abs(d - 1.0)))))
             if margin <= 1e-3:
@@ -315,5 +329,6 @@ class TestHypersimplexLossMulticlass:
                 return hypersimplex_loss_multiclass(ClassBatch(Z, labels)).value
 
             fd = fd_scalar_grad(total, logits)
-            np.testing.assert_allclose(ev.grad, fd, rtol=1e-5, atol=1e-7)
+            # both sides carry the mean's 1/8, so compare them at sum scale
+            np.testing.assert_allclose(ev.grad * 8, fd * 8, rtol=1e-5, atol=1e-7)
             checked += 1

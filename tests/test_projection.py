@@ -9,7 +9,6 @@ from hypersimplex import (
     hard_topk,
     project,
     project_bisect,
-    project_rows,
 )
 from hypersimplex._kernels import _theta_from_sorted_numpy
 from hypersimplex.isotonic import project_sorted_via_isotonic
@@ -351,24 +350,3 @@ class TestProjectBisect:
             np.testing.assert_allclose(
                 project_bisect(x, spec).y, project(x, spec).y, atol=1e-9
             )
-
-
-class TestProjectRows:
-    def test_matches_per_row_projection(self):
-        rng = np.random.default_rng(19)
-        X = rng.normal(0, 2, (6, 9))
-        Y, thetas = project_rows(X, 3, 0.8)
-        spec = HypersimplexSpec(9, 3, 0.8)
-        for i in range(6):
-            res = project(X[i], spec)
-            assert np.array_equal(Y[i], res.y)
-            assert thetas[i] == res.theta
-
-    def test_row_sums(self):
-        rng = np.random.default_rng(20)
-        Y, _ = project_rows(rng.normal(0, 1, (50, 12)), 4, 1.0)
-        np.testing.assert_allclose(Y.sum(axis=1), 4.0, atol=1e-9)
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            project_rows(np.ones(4), 1, 1.0)

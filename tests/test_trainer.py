@@ -267,15 +267,38 @@ class TestLossLayer:
             assert ev.grad.shape == scores.shape
 
     def test_hypersimplex_layer_is_mean_reduced(self):
-        from hypersimplex import ClassBatch, hypersimplex_loss_multiclass
+        from hypersimplex import HypersimplexSpec, loss_grad_from_residual, project
 
         rng = np.random.default_rng(94)
         scores = rng.normal(0, 1, (8, 3))
         labels = rng.integers(0, 3, 8)
         ev = loss_layer("hypersimplex", scores, labels, 2.0)
-        raw = hypersimplex_loss_multiclass(ClassBatch.from_labels(scores, labels, tau=2.0))
-        assert ev.value == pytest.approx(raw.value / 8, abs=1e-15)
-        assert ev.grad.tobytes() == (raw.grad / 8).tobytes()
+        total = 0.0
+        ref = np.empty((8, 3))
+        for c in range(3):
+            res = project(scores[:, c], HypersimplexSpec(8, int(np.sum(labels == c)), 2.0))
+            resid = res.y - (labels == c)
+            total += 0.5 * float(np.dot(resid, resid))
+            ref[:, c] = loss_grad_from_residual(res, resid)
+        assert ev.value == total / 8
+        assert ev.grad.tobytes() == (ref / 8).tobytes()
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_duplicated_batch_keeps_the_mean(self, name):
+        # every loss is a per-sample mean: the batch stacked twice gives the
+        # same value and half the gradient on each copy
+        rng = np.random.default_rng(95)
+        for _ in range(40):
+            n, C = int(rng.integers(2, 80)), int(rng.integers(2, 6))
+            scores = rng.normal(0, 2, (n, C))
+            labels = rng.integers(0, C, n)
+            tau = float(rng.choice([0.5, 1.0, 2.0]))
+            ev = loss_layer(name, scores, labels, tau)
+            twice = loss_layer(name, np.vstack([scores, scores]),
+                               np.concatenate([labels, labels]), tau)
+            assert twice.value == pytest.approx(ev.value, rel=1e-12, abs=1e-15)
+            for half in (twice.grad[:n], twice.grad[n:]):
+                np.testing.assert_allclose(half, ev.grad / 2, rtol=1e-12, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
