@@ -144,7 +144,7 @@ def _theta_at(comp, e, k):
     m_e = int(m[e])
     if m_e > 0:
         return float((float(base[e]) - k) / m_e)
-    return float(t[e])
+    return float(t[e]) + 0.0  # see _theta_from_sorted_py
 
 
 def _center_on_active_numpy(v, active_idx, n):
@@ -177,7 +177,9 @@ def _theta_from_sorted_py(u_sorted, prefix, k):
         if g >= k:
             if m > 0:
                 return (a + s_act - k) / m
-            return t
+            # theta is the value u_b; + 0.0 turns a -0.0 into 0.0, so the
+            # sign does not depend on how the sort ordered tied zeros
+            return t + 0.0
         if t_act >= t_sat:
             b += 1
         else:

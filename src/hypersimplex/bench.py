@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .backward import jvp
-from .projection import HypersimplexSpec, _prefix_sums, _solve_theta, project
+from .projection import HypersimplexSpec, _prefix_sums, project
 
 DEFAULT_SIZES = tuple(2**p for p in range(14, 23))
 
@@ -39,7 +39,8 @@ def _median_ns(fn, reps):
 
 
 def bench_projection(sizes, reps, seed=0):
-    """Rows for the full projection plus its sort / theta-solve phases."""
+    """Rows for the full projection plus the sort and theta-solve phases of
+    its numpy route, the one project takes above n = 64."""
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
@@ -54,7 +55,7 @@ def bench_projection(sizes, reps, seed=0):
         k = float(spec.k)
         rows.append(
             BenchRow("project_theta_solve", n, _median_ns(
-                lambda: _solve_theta(u_sorted, prefix, k), reps))
+                lambda: _kernels._theta_from_sorted_numpy(u_sorted, prefix, k), reps))
         )
     return rows
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .projection import _as_score_vector, _degenerate, _prefix_sums, _solve_theta
+from .projection import _as_score_vector, _degenerate, _solve_theta
 
 
 @dataclass
@@ -59,5 +59,5 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
     fitted, _, _ = _kernels._pav_decreasing(u)
-    theta = _solve_theta(fitted, _prefix_sums(fitted), float(spec.k))
+    theta, _ = _solve_theta(fitted, float(spec.k))
     return np.clip(fitted - theta, 0.0, 1.0)

@@ -8,6 +8,7 @@ cross-entropy, hinge) follow the usual mean-reduced conventions and all
 return analytic gradients.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ def _as_scores_labels(scores, labels):
     if scores.ndim != 2:
         raise ValueError(f"scores must be an n x C matrix, got shape {scores.shape}")
     n, C = scores.shape
+    if n < 1:
+        raise ValueError("need at least one sample, got an empty batch")
     if C < 2:
         raise ValueError(f"need at least 2 classes, got {C}")
     if not np.isfinite(scores).all():
@@ -38,10 +41,9 @@ def _as_scores_labels(scores, labels):
         raise ValueError(f"labels have shape {labels.shape}, expected ({n},)")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size:
-        lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
-        if lo < 0 or hi >= C:
-            raise ValueError(f"labels must lie in [0, {C}), got range [{lo}, {hi}]")
+    lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
+    if lo < 0 or hi >= C:
+        raise ValueError(f"labels must lie in [0, {C}), got range [{lo}, {hi}]")
     return scores, labels.astype(np.int64), n, C
 
 
@@ -143,6 +145,13 @@ class ClassBatch:
         return cls(logits, labels, tau)
 
 
+@functools.lru_cache(maxsize=1024)
+def _spec(n, k, tau):
+    """HypersimplexSpec(n, k, tau), checked and built once per triple; a
+    spec is frozen, so every call shares it."""
+    return HypersimplexSpec(n, k, tau)
+
+
 def hypersimplex_loss_multiclass(batch):
     """Mean over samples of the binary hypersimplex loss summed over classes.
 
@@ -150,20 +159,34 @@ def hypersimplex_loss_multiclass(batch):
     onto the (n, k_c)-hypersimplex at the batch temperature tau, k_c is the
     count of label c in the batch and y_c is its indicator; grad column c
     is the corresponding chained residual over n. A class absent from the
-    batch (k_c = 0) contributes nothing. Class columns are independent, so
-    they may be evaluated in any order or in parallel.
+    batch (k_c = 0) contributes nothing, but its column is still projected:
+    one ``project`` call per class column.
+
+    The residuals live in (C, n) layout, so each class's dot product and
+    centring read a contiguous row; each row's centred active residual is
+    scattered into its column of a zeroed C-contiguous (n, C) gradient,
+    which is divided by tau and then by n once. Per element these are the
+    operations of ``hypersimplex_loss`` over n, in the same order, so the
+    bits are the same.
     """
     if not isinstance(batch, ClassBatch):
         raise TypeError("batch must be a ClassBatch")
     n, C = batch.logits.shape
-    targets = batch.labels[:, None] == np.arange(C)  # column c: label == c
+    scores = batch.logits.T  # row c: the class-c logits of every sample
+    targets = batch.labels == np.arange(C)[:, None]  # row c: label == c
+    resid = np.empty((C, n))
+    grad = np.zeros((n, C))
     value = 0.0
-    grad = np.empty((n, C))
     for c, k in enumerate(np.bincount(batch.labels, minlength=C).tolist()):
-        spec = HypersimplexSpec(n, k, batch.tau)
-        result = project(batch.logits[:, c], spec)
-        resid = result.y - targets[:, c]
-        value += 0.5 * float(np.dot(resid, resid))
-        grad[:, c] = loss_grad_from_residual(result, resid)
+        result = project(scores[c], _spec(n, k, batch.tau))
+        r = np.subtract(result.y, targets[c], out=resid[c])
+        value += 0.5 * float(np.dot(r, r))
+        active = result.active
+        if active.shape[0] > 0:
+            # the Jacobian: centre the residual on the active set
+            va = r[active]
+            va -= va.sum() / va.shape[0]
+            grad[active, c] = va
+    grad /= batch.tau
     grad /= n
     return LossEval(value=value / n, grad=grad)

@@ -25,6 +25,7 @@ from .projection import (
     HypersimplexSpec,
     _as_cardinality,
     _as_score_vector,
+    _check_running_sums,
     project,
 )
 
@@ -126,7 +127,8 @@ def brute_force_project(x, spec):
     For every assignment of coordinates to {zero, interior, one} the
     threshold is solved in closed form and the optimality conditions are
     scored; the least-violating pattern wins (smallest pattern code on
-    ties, so the result is deterministic). Refuses n > MAX_ORACLE_N.
+    ties, so the result is deterministic). Refuses n > MAX_ORACLE_N, and
+    x / tau whose running sums overflow float64.
     """
     if not isinstance(spec, HypersimplexSpec):
         raise TypeError("spec must be a HypersimplexSpec")
@@ -136,6 +138,9 @@ def brute_force_project(x, spec):
         )
     x = _as_score_vector(x, spec)
     u = x / spec.tau
+    # every pattern sums u over its interior set, so reject u whose sums
+    # overflow, at every k, with project's ValueError
+    _check_running_sums(u)
     k = float(spec.k)
     digits, m, n_one = _patterns(spec.n)
     s_act = _active_sums(u)

@@ -57,6 +57,18 @@ class TestZeroOneLoss:
             zero_one_loss(np.zeros((2, 1)), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("loss", [
+    zero_one_loss,
+    squared_loss,
+    cross_entropy_loss,
+    hinge_loss,
+    lambda scores, labels: hypersimplex_loss_multiclass(ClassBatch(scores, labels)),
+], ids=["zero_one", "squared", "cross_entropy", "hinge", "hypersimplex_multiclass"])
+def test_every_loss_rejects_an_empty_batch(loss):
+    with pytest.raises(ValueError, match="empty batch"):
+        loss(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
 class TestSquaredLoss:
     def test_zero_at_one_hot_scores(self):
         scores = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -272,12 +284,17 @@ class TestHypersimplexLossMulticlass:
         rng = np.random.default_rng(71)
         # columns longer than the walk's limit solve theta with the numpy kernel
         assert _WALK_MAX_N < 300
-        for n_lo, n_hi, cases in ((2, 40, 100), (40, 301, 40)):
-            for _ in range(cases):
+        for n_lo, n_hi, cases in ((2, 40, 150), (40, 301, 60)):
+            for i in range(cases):
                 n, C = int(rng.integers(n_lo, n_hi)), int(rng.integers(2, 6))
                 logits = rng.normal(0, 2, (n, C))
+                if i % 3 == 1:  # a 0.25 grid: tied logits within and across columns
+                    logits = np.round(logits * 4.0) / 4.0
+                elif i % 3 == 2:  # signed zeros
+                    logits[rng.random((n, C)) < 0.3] = 0.0
+                    logits[rng.random((n, C)) < 0.3] = -0.0
                 labels = rng.integers(0, C, n)
-                tau = float(rng.choice([0.5, 1.0]))
+                tau = float(rng.choice([0.01, 0.5, 1.0, 2.0]))
                 ev = hypersimplex_loss_multiclass(ClassBatch(logits, labels, tau))
                 total = 0.0
                 ref = np.empty((n, C))
@@ -289,6 +306,8 @@ class TestHypersimplexLossMulticlass:
                     ref[:, c] = loss_grad_from_residual(res, resid)
                 assert ev.value == total / n
                 assert ev.grad.tobytes() == (ref / n).tobytes()
+                # an F-ordered gradient may take another BLAS path in the backward pass
+                assert ev.grad.flags.c_contiguous
 
     def test_absent_class_contributes_nothing(self):
         rng = np.random.default_rng(68)

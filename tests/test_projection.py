@@ -253,8 +253,9 @@ class TestProject:
             solver(np.array(x), HypersimplexSpec(3, k, 1e-10))
 
     def test_same_bits_as_the_numpy_kernel_route(self):
-        # up to n = 64 project solves theta with the scalar walk on Python
-        # floats; its theta and y must equal the numpy kernel's to the bit
+        # up to n = 64 project sorts, sums and walks on Python floats; its
+        # theta and y must equal those of numpy's sort, _prefix_sums and the
+        # kernel to the bit
         # on both sides of that cutoff, for every 0 < k < n. At tau = 1 the
         # grid and the 0.25 plateau tie activations with saturations exactly
         rng = np.random.default_rng(86)
@@ -263,8 +264,16 @@ class TestProject:
             signed_zeros = g.copy()
             signed_zeros[rng.permutation(n)[:n // 2]] = 0.0
             signed_zeros[rng.permutation(n)[:n // 3]] = -0.0
+            # all entries <= 0, the largest a mix of 0.0 and -0.0: the order
+            # a sort leaves tied zeros in sets the sign of the first running
+            # sum, and that of theta when theta is one of them
+            nonpositive = -np.abs(g)
+            zeros = rng.permutation(n)[:max(n // 3, 1)]
+            nonpositive[zeros[0::2]] = -0.0
+            nonpositive[zeros[1::2]] = 0.0
             kinds = {"gaussian": g, "grid": np.round(g * 4.0) / 4.0,
-                     "offset": 1e3 + g, "signed-zeros": signed_zeros}
+                     "offset": 1e3 + g, "signed-zeros": signed_zeros,
+                     "nonpositive-zeros": nonpositive}
             for k in range(1, n):
                 for level in (0.25, 1.0 / 3.0):
                     # k entries at level + 1: the clip sum is k on a whole run
@@ -278,7 +287,8 @@ class TestProject:
                     theta = _theta_from_sorted_numpy(
                         u_sorted, _prefix_sums(u_sorted), float(k))
                     case = (name, n, k)
-                    assert res.theta == theta, case
+                    # bytes, so that 0.0 and -0.0 differ
+                    assert np.float64(res.theta).tobytes() == np.float64(theta).tobytes(), case
                     assert res.y.tobytes() == (u - theta).clip(0.0, 1.0).tobytes(), case
 
 
@@ -317,7 +327,8 @@ class TestOverflowBoundary:
 class TestRunningSumOverflow:
     # finite x / tau whose running sums overflow float64: rejected, with no
     # numpy warning (pytest turns RuntimeWarning into an error)
-    @pytest.mark.parametrize("solver", [project, project_sorted_via_isotonic])
+    @pytest.mark.parametrize("solver", [project, project_sorted_via_isotonic,
+                                        project_bisect, brute_force_project])
     @pytest.mark.parametrize("x", [[EDGE, EDGE, 0.0], [EDGE, EDGE, EDGE, 0.0]])
     def test_rejected(self, solver, x):
         with pytest.raises(ValueError, match="running sums of x / tau overflow"):
