@@ -8,7 +8,6 @@ brute-force verification oracles, isotonic regression, a desk-scale
 training harness and benchmarks, all behind the ``hypersimplex`` CLI.
 """
 
-from ._kernels import get_backend
 from .backward import jvp, loss_grad_from_residual, vjp
 from .isotonic import IsotonicFit, pav_decreasing, project_sorted_via_isotonic
 from .losses import (
@@ -25,6 +24,7 @@ from .projection import (
     BOUNDARY_TOL,
     HypersimplexSpec,
     ProjectionResult,
+    get_backend,
     hard_topk,
     project,
     project_bisect,

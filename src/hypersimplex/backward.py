@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from .projection import ProjectionResult
 
 
@@ -26,6 +25,17 @@ def _as_tangent(v, n):
     return v
 
 
+def _center_on_active(v, active_idx, out):
+    """Write v centred over the active set into out[active_idx] and return
+    out; the caller zeroes out, the Jacobian's rows off the active set."""
+    if active_idx.shape[0] > 0:
+        va = v[active_idx]
+        # the pairwise sum and division of va.mean(), without its wrapper
+        va -= va.sum() / va.shape[0]
+        out[active_idx] = va
+    return out
+
+
 def jvp(result, v):
     """Jacobian-vector product (d y / d u) v at a computed projection.
 
@@ -36,7 +46,7 @@ def jvp(result, v):
     if not isinstance(result, ProjectionResult):
         raise TypeError("result must come from a projection solve")
     v = _as_tangent(v, result.spec.n)
-    return _kernels._center_on_active_numpy(v, result.active, result.spec.n)
+    return _center_on_active(v, result.active, np.zeros(result.spec.n))
 
 
 def vjp(result, u):

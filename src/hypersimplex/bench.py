@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .backward import jvp
-from .projection import HypersimplexSpec, _prefix_sums, project
+from .isotonic import _pav_decreasing
+from .projection import (
+    HypersimplexSpec,
+    _prefix_sums,
+    _sort_desc,
+    _theta_from_sorted_numpy,
+    project,
+)
 
 DEFAULT_SIZES = tuple(2**p for p in range(14, 23))
 
@@ -39,8 +45,8 @@ def _median_ns(fn, reps):
 
 
 def bench_projection(sizes, reps, seed=0):
-    """Rows for the full projection plus the sort and theta-solve phases of
-    its numpy route, the one project takes above n = 64."""
+    """Rows for the full projection, the sort it runs (``_sort_desc``) and
+    the theta solve of its numpy route, the one project takes above n = 64."""
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
@@ -49,13 +55,13 @@ def bench_projection(sizes, reps, seed=0):
         project(x, spec)  # warm caches before timing
         rows.append(BenchRow("project", n, _median_ns(lambda: project(x, spec), reps)))
         u = x / spec.tau
-        rows.append(BenchRow("project_sort", n, _median_ns(lambda: np.sort(u)[::-1], reps)))
+        rows.append(BenchRow("project_sort", n, _median_ns(lambda: _sort_desc(u), reps)))
         u_sorted = np.sort(u)[::-1]
         prefix = _prefix_sums(u_sorted)
         k = float(spec.k)
         rows.append(
             BenchRow("project_theta_solve", n, _median_ns(
-                lambda: _kernels._theta_from_sorted_numpy(u_sorted, prefix, k), reps))
+                lambda: _theta_from_sorted_numpy(u_sorted, prefix, k), reps))
         )
     return rows
 
@@ -79,8 +85,8 @@ def bench_pav(sizes, reps, seed=0):
     rng = np.random.default_rng(seed)
     for n in sizes:
         v = rng.normal(0.0, 1.0, n)
-        _kernels._pav_decreasing(v)
-        rows.append(BenchRow("pav", n, _median_ns(lambda: _kernels._pav_decreasing(v), reps)))
+        _pav_decreasing(v)
+        rows.append(BenchRow("pav", n, _median_ns(lambda: _pav_decreasing(v), reps)))
     return rows
 
 

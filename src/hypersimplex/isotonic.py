@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .projection import _as_score_vector, _degenerate, _solve_theta
+from .projection import _as_score_vector, _degenerate, _solve_theta, _sort_desc
 
 
 @dataclass
@@ -29,6 +28,23 @@ class IsotonicFit:
     blocks: list
 
 
+def _pav_decreasing(v):
+    # Stack of blocks as (running sum, count, start); merge while a block mean
+    # rises above its left neighbor, which violates the nonincreasing fit.
+    sums, counts, starts = [], [], []
+    for i, value in enumerate(v.tolist()):
+        sums.append(value)
+        counts.append(1)
+        starts.append(i)
+        while len(sums) > 1 and sums[-2] / counts[-2] < sums[-1] / counts[-1]:
+            total, count = sums.pop(), counts.pop()
+            starts.pop()
+            sums[-1] += total
+            counts[-1] += count
+    means = np.array(sums, dtype=np.float64) / np.array(counts, dtype=np.int64)
+    return np.repeat(means, counts), np.array(starts, dtype=np.int64), means
+
+
 def pav_decreasing(v):
     """Nonincreasing isotonic regression of v.
 
@@ -36,7 +52,7 @@ def pav_decreasing(v):
     computed by stack-based pooling in one pass.
     """
     v = _as_score_vector(v)
-    fitted, starts, means = _kernels._pav_decreasing(v)
+    fitted, starts, means = _pav_decreasing(v)
     ends = np.append(starts[1:], v.size)
     blocks = [(int(s), int(e), float(m)) for s, e, m in zip(starts, ends, means)]
     return IsotonicFit(fitted=fitted, blocks=blocks)
@@ -58,6 +74,6 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
-    fitted, _, _ = _kernels._pav_decreasing(u)
-    theta, _ = _solve_theta(fitted, float(spec.k))
+    fitted, _, _ = _pav_decreasing(u)
+    theta = _solve_theta(_sort_desc(fitted), float(spec.k))
     return np.clip(fitted - theta, 0.0, 1.0)

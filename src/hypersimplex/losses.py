@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import loss_grad_from_residual
+from .backward import _center_on_active, loss_grad_from_residual
 from .projection import HypersimplexSpec, _as_temperature, project
 
 
@@ -163,11 +163,11 @@ def hypersimplex_loss_multiclass(batch):
     one ``project`` call per class column.
 
     The residuals live in (C, n) layout, so each class's dot product and
-    centring read a contiguous row; each row's centred active residual is
-    scattered into its column of a zeroed C-contiguous (n, C) gradient,
-    which is divided by tau and then by n once. Per element these are the
-    operations of ``hypersimplex_loss`` over n, in the same order, so the
-    bits are the same.
+    centring read a contiguous row; ``jvp``'s centring writes each row's
+    centred active residual into its column of a zeroed C-contiguous (n, C)
+    gradient, which is divided by tau and then by n once. Per element these
+    are the operations of ``hypersimplex_loss`` over n, in the same order,
+    so the bits are the same.
     """
     if not isinstance(batch, ClassBatch):
         raise TypeError("batch must be a ClassBatch")
@@ -181,12 +181,7 @@ def hypersimplex_loss_multiclass(batch):
         result = project(scores[c], _spec(n, k, batch.tau))
         r = np.subtract(result.y, targets[c], out=resid[c])
         value += 0.5 * float(np.dot(r, r))
-        active = result.active
-        if active.shape[0] > 0:
-            # the Jacobian: centre the residual on the active set
-            va = r[active]
-            va -= va.sum() / va.shape[0]
-            grad[active, c] = va
+        _center_on_active(r, result.active, grad[:, c])
     grad /= batch.tau
     grad /= n
     return LossEval(value=value / n, grad=grad)

@@ -127,8 +127,8 @@ def brute_force_project(x, spec):
     For every assignment of coordinates to {zero, interior, one} the
     threshold is solved in closed form and the optimality conditions are
     scored; the least-violating pattern wins (smallest pattern code on
-    ties, so the result is deterministic). Refuses n > MAX_ORACLE_N, and
-    x / tau whose running sums overflow float64.
+    ties, so the result is deterministic). Refuses n > MAX_ORACLE_N, x / tau
+    whose running sums overflow float64, and |x / tau| >= 2^53.
     """
     if not isinstance(spec, HypersimplexSpec):
         raise TypeError("spec must be a HypersimplexSpec")
@@ -141,6 +141,10 @@ def brute_force_project(x, spec):
     # every pattern sums u over its interior set, so reject u whose sums
     # overflow, at every k, with project's ValueError
     _check_running_sums(u)
+    # from 2^53 on, u - 1 rounds to u, so patterns tie and the least
+    # violating one can be wrong
+    if float(np.max(np.abs(u))) >= 2.0**53:
+        raise ValueError("the oracle needs |x / tau| < 2^53, where u - 1 != u")
     k = float(spec.k)
     digits, m, n_one = _patterns(spec.n)
     s_act = _active_sums(u)

@@ -12,10 +12,9 @@ bisection solver kept for cross-checking.
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-
-from . import _kernels
 
 # Coordinates within this distance of 0 or 1 are classified as saturated.
 BOUNDARY_TOL = 1e-12
@@ -161,36 +160,203 @@ def _check_running_sums(u):
     _prefix_sums(np.sort(u)[::-1])
 
 
+# ---------------------------------------------------------------------------
+# Threshold solve for the box-constrained sum-k projection.
+#
+# Given u sorted descending, find theta with sum_i clip(u_i - theta, 0, 1) = k.
+# The clip sum is piecewise linear and nonincreasing in theta; its breakpoints
+# are the events u_i (coordinate i activates) and u_i - 1 (coordinate i hits
+# one). Walked in decreasing order, activations ahead of saturations at equal
+# value, each event t sees a composition: a coordinates at one, [a, b) active.
+# Then g = a + (P[b] - P[a]) - (b - a) * t is the clip sum at t, exact from the
+# prefix sums P, and the first event where g reaches k yields theta in closed
+# form. The scalar walk ``_theta_from_sorted_py`` does exactly that.
+#
+# The numpy kernel finds the same event without merging the two sequences.
+# Each kind is already in order, and g is nondecreasing along each, so a
+# 128-way search brackets a kind's first event that reaches k and one
+# vectorised pass over the 128 events below the bracket finds it; below
+# n = 128 the pass covers the whole sequence. Saturation j sees a = j, and
+# b, the activations at or above u_j - 1, is one searchsorted. So the
+# saturations are searched first. The activations that sit between
+# saturations j - 1 and j in the walk's order all see a = j, and only they
+# can come ahead of the first saturation j that reaches k. They are searched
+# second, with a fixed; their first hit, if any, is the walk's event, and
+# saturation j otherwise.
+#
+# Rounding makes g nondecreasing only to within ``tol``: the sequential prefix
+# sums are off by at most n * eps * sum|u| each, the per-event arithmetic by a
+# few eps * n * max|u|, and rounding u_j - 1 shifts g by eps * (max|u| + 1) per
+# saturation. So an event whose g lies more than tol below k proves that no
+# earlier event reaches k; a window widens until its first event does.
+# ---------------------------------------------------------------------------
+
+_WINDOW = 128
+# a Python float, so that tol and k - tol stay Python floats
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+
+
+def _theta_from_sorted_numpy(u_sorted, prefix, k):
+    """Bracketed breakpoint scan.
+
+    Every event's g is formed with the same arithmetic as the scalar walk,
+    and the window check is exact, so kernel and walk take the same branch
+    even when the clip sum plateaus exactly at k and theta is a whole
+    interval.
+    """
+    n = u_sorted.shape[0]
+    act_asc = np.ascontiguousarray(u_sorted[::-1])
+    # twice the rounding error of g plus its drift; see the comment above
+    big = max(abs(float(act_asc[0])), abs(float(act_asc[-1])))
+    tol = 8.0 * _UNIT_ROUNDOFF * (n + 2) ** 2 * (big + 1.0)
+
+    def sat_g(idx):
+        # saturations j = idx, with b activations at or above t = u_j - 1
+        t = u_sorted[idx] - 1.0
+        b = n - act_asc.searchsorted(t, "left")
+        m = b - idx
+        base = idx + (prefix[b] - prefix[idx])
+        return base - m * t, (base, m, t)
+
+    j, g, sat, start = _first_hit(sat_g, 0, n, k, tol)
+    m_sat = sat[1]  # saturation j' sees b = j' + m activations
+    # only activations ahead of saturation j (all, if none reaches k) can
+    # come first in the walk
+    hi = j + int(m_sat[j - start]) if j < n else n
+    e = j - 1 - start
+    if j == 0 or g[e] < k - tol:
+        # nothing ahead of saturation j - 1 reaches k either; the activations
+        # between it and saturation j all see a = j
+        lo = j - 1 + int(m_sat[e]) if j > 0 else 0
+        sat_asc = None
+    else:
+        # saturation j - 1 misses k by less than rounding: search them all
+        lo = 0
+        sat_asc = u_sorted[:j][::-1] - 1.0
+
+    def act_g(idx):
+        # activations i = idx, with a saturations strictly above t = u_i
+        t = u_sorted[idx]
+        a = j if sat_asc is None else j - sat_asc.searchsorted(t, "right")
+        m = idx - a
+        base = a + (prefix[idx] - prefix[a])
+        return base - m * t, (base, m, t)
+
+    if lo < hi:
+        i, _, act, start_a = _first_hit(act_g, lo, hi, k, tol)
+        if i < hi:
+            return _theta_at(act, i - start_a, k)
+    if j < n:
+        return _theta_at(sat, j - start, k)
+    # rounding can leave g just under k = n at the final event
+    return float(u_sorted[n - 1] - 1.0)
+
+
+def _first_hit(g_at, floor, hi, k, tol):
+    """First index in [floor, hi) whose event reaches k, or hi if none.
+
+    g_at(idx) gives the clip sums and compositions of one kind's events at
+    the indices idx; no event before floor reaches k. Also returns g and the
+    compositions on a window starting at ``start`` that holds the result
+    and, above floor, the index before it.
+    """
+    lo, end = floor, hi
+    while end - lo > _WINDOW:
+        # the probe at end reached k (end == hi: none did), lo - 1 missed
+        idx = np.linspace(lo, end - 1, _WINDOW).astype(np.int64)
+        hit = g_at(idx)[0] >= k
+        j = int(hit.argmax())
+        if hit[j]:
+            end = int(idx[j])
+        else:
+            j = _WINDOW
+        if j > 0:
+            lo = int(idx[j - 1]) + 1
+    start = max(end - _WINDOW, floor)
+    while True:
+        g, comp = g_at(np.arange(start, min(end + 1, hi)))
+        if start == floor or g[0] < k - tol:
+            break
+        start = max(2 * start - end, floor)
+    hit = g >= k
+    i = int(hit.argmax())
+    return (start + i if hit[i] else hi), g, comp, start
+
+
+def _theta_at(comp, e, k):
+    # theta = (base - k) / m in closed form, base = a + (P[b] - P[a]), on the
+    # segment that event e of a window opens; Python floats round as numpy's do
+    base, m, t = comp
+    m_e = int(m[e])
+    if m_e > 0:
+        return float((float(base[e]) - k) / m_e)
+    return float(t[e]) + 0.0  # see _theta_from_sorted_py
+
+
+# The scalar walk does the arithmetic of the numpy kernel in the same
+# order, so the tests compare the kernel against it. It is also the small-n
+# threshold solve: on the lists of ``ndarray.tolist()`` it skips numpy's
+# fixed cost per call, and on arrays it returns the same value.
+def _theta_from_sorted_py(u_sorted, prefix, k):
+    # Two-pointer walk over breakpoints; a = coords pinned at one, [a, b) active.
+    n = len(u_sorted)
+    a = 0
+    b = 0
+    while a < n or b < n:
+        t_act = u_sorted[b] if b < n else -math.inf
+        t_sat = u_sorted[a] - 1.0 if a < n else -math.inf
+        t = t_act if t_act >= t_sat else t_sat
+        s_act = prefix[b] - prefix[a]
+        m = b - a
+        g = a + s_act - m * t
+        if g >= k:
+            if m > 0:
+                return (a + s_act - k) / m
+            # theta is the value u_b; + 0.0 turns a -0.0 into 0.0, so the
+            # sign does not depend on how the sort ordered tied zeros
+            return t + 0.0
+        if t_act >= t_sat:
+            b += 1
+        else:
+            a += 1
+    return u_sorted[n - 1] - 1.0  # unreachable for 0 < k < n
+
+
 # Largest n whose threshold the scalar walk solves: its loop on Python
 # floats beats the fixed cost of the numpy kernel's ~27 numpy calls up to
 # here, and loses above it once k nears n.
 _WALK_MAX_N = 64
 
 
-def _solve_theta(u, k):
-    """theta with sum(clip(u - theta, 0, 1)) = k, at the first breakpoint
-    of the walk over u sorted descending that reaches k, and u so sorted
-    (a list up to _WALK_MAX_N, an array above).
-
-    Up to _WALK_MAX_N the sort, the running sums and the walk run on Python
-    floats, which skips numpy's fixed cost per call; above it numpy sorts
-    and sums and the bracketed kernel solves. Both give the same bits: the
-    sorted values and the left-to-right sums are the same, and both solvers
-    return a zero theta as 0.0, whichever signed zero a sort put first.
-    Raises ValueError if a running sum overflows.
-    """
+def _sort_desc(u):
+    """u sorted descending: a list of Python floats up to _WALK_MAX_N, a
+    reversed view of numpy's sorted copy above."""
     if u.shape[0] <= _WALK_MAX_N:
-        u_sorted = sorted(u.tolist(), reverse=True)
+        return sorted(u.tolist(), reverse=True)
+    # np.sort(u)[::-1] without np.sort's wrapper: the same copy and sort
+    u_sorted = u.copy()
+    u_sorted.sort()
+    return u_sorted[::-1]
+
+
+def _solve_theta(u_sorted, k):
+    """theta with sum(clip(u - theta, 0, 1)) = k, at the first breakpoint
+    of the walk over u_sorted, as ``_sort_desc`` returns it, that reaches k.
+
+    Up to _WALK_MAX_N the running sums and the walk run on Python floats,
+    which skips numpy's fixed cost per call; above it numpy sums and the
+    bracketed kernel solves. Both give the same bits: the sorted values and
+    the left-to-right sums are the same, and both solvers return a zero
+    theta as 0.0, whichever signed zero a sort put first. Raises ValueError
+    if a running sum overflows.
+    """
+    if len(u_sorted) <= _WALK_MAX_N:
         prefix = [0.0, *itertools.accumulate(u_sorted)]
         # the addends are finite, so the last sum is finite iff every one is
         if not math.isfinite(prefix[-1]):
             raise ValueError(_RUNNING_SUM_OVERFLOW)
-        return _kernels._theta_from_sorted_py(u_sorted, prefix, k), u_sorted
-    # np.sort(u)[::-1] without np.sort's wrapper: the same copy and sort
-    u_sorted = u.copy()
-    u_sorted.sort()
-    u_sorted = u_sorted[::-1]
-    return _kernels._theta_from_sorted_numpy(u_sorted, _prefix_sums(u_sorted), k), u_sorted
+        return _theta_from_sorted_py(u_sorted, prefix, k)
+    return _theta_from_sorted_numpy(u_sorted, _prefix_sums(u_sorted), k)
 
 
 def _classify(y, theta, spec):
@@ -233,11 +399,12 @@ def project(x, spec):
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
-    # u_sorted is not read again, but it is held until project returns:
-    # freed before _classify allocates, its pages go back to the system and
-    # fault in again; at n = 2^20 on a 2-CPU Xeon VM that raised the minor
-    # faults per call from ~2,300 to 3,300-4,300
-    theta, u_sorted = _solve_theta(u, float(spec.k))
+    # u_sorted is not read after the solve, but it lives until project
+    # returns: freed before _classify allocates, its pages go back to the
+    # system and fault in again; at n = 2^20 on a 2-CPU Xeon VM that raised
+    # the minor faults per call from ~2,300 to 3,300-4,300
+    u_sorted = _sort_desc(u)
+    theta = _solve_theta(u_sorted, float(spec.k))
     # u is ours: clip y into its buffer. ndarray.clip is the clip ufunc,
     # which keeps -0.0; np.maximum/np.minimum would turn it into +0.0
     y = np.subtract(u, theta, out=u).clip(0.0, 1.0, out=u)
@@ -292,3 +459,14 @@ def project_bisect(x, spec):
     y = np.clip(u - theta, 0.0, 1.0)
     return _classify(y, theta, spec)
 
+
+_NUMPY = SimpleNamespace(name="numpy")
+
+
+def get_backend():
+    """The kernel implementation in use: an object whose ``name`` is "numpy".
+
+    There is only one implementation. This exists because the benchmark
+    records the name in the metadata of every run.
+    """
+    return _NUMPY

@@ -424,6 +424,10 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     )
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class SweepConfig:
     """Grid definition for a sweep; unknown keys are rejected up front."""
@@ -452,19 +456,25 @@ class SweepConfig:
         for name in self.losses:
             if name not in LOSS_NAMES:
                 raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
-        self.batches = tuple(int(b) for b in self.batches)
         if isinstance(self.seeds, int):
-            self.seeds = tuple(range(self.seeds))
-        else:
-            self.seeds = tuple(int(s) for s in self.seeds)
+            self.seeds = range(self.seeds)
+        for name in ("batches", "seeds"):
+            values = tuple(getattr(self, name))
+            for value in values:
+                if not _is_integer(value):
+                    raise ValueError(f"{name} must be integers, got {value!r}")
+            setattr(self, name, tuple(int(v) for v in values))
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.tau = _as_temperature(self.tau)
-        for name, least in (("epochs", 1), ("hidden", 1), ("dims", 1),
-                            ("m_train", 1), ("m_test", 1), ("classes", 2)):
+        lr = self.lr
+        if not ((isinstance(lr, (float, np.floating)) or _is_integer(lr))
+                and lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"lr must be positive and finite, got {lr!r}")
+        for name, least in (("epochs", 1), ("hidden", 1), ("dims", 1), ("m_train", 1),
+                            ("m_test", 1), ("classes", 2), ("data_seed", 0)):
             value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < least):
+            if not _is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @classmethod

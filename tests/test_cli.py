@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -313,6 +314,11 @@ class TestSweepCommand:
         ({"epochs": "2"}, "epochs must be an integer >= 1, got '2'"),
         ({"epochs": -1}, "epochs must be an integer >= 1, got -1"),
         ({"classes": 1}, "classes must be an integer >= 2, got 1"),
+        ({"lr": "abc"}, "lr must be positive and finite, got 'abc'"),
+        ({"lr": math.nan}, "lr must be positive and finite, got nan"),
+        ({"batches": [32.9]}, "batches must be integers, got 32.9"),
+        ({"seeds": [0.5, 1.7]}, "seeds must be integers, got 0.5"),
+        ({"data_seed": "x"}, "data_seed must be an integer >= 0, got 'x'"),
     ])
     def test_bad_grid_exits_2_before_any_cell_trains(
             self, capsys, tmp_path, monkeypatch, overrides, message):
@@ -323,6 +329,7 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
         assert code == 2
         assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line
         assert trained == []
         assert out == ""
         assert not (tmp_path / "runs.csv").exists()

@@ -2,14 +2,30 @@ import numpy as np
 import pytest
 
 import hypersimplex as hs
-from hypersimplex._kernels import (
-    _center_on_active_numpy,
-    _center_on_active_py,
-    _pav_decreasing,
+from hypersimplex.backward import _center_on_active
+from hypersimplex.isotonic import _pav_decreasing
+from hypersimplex.projection import (
+    BOUNDARY_TOL,
+    _prefix_sums,
     _theta_from_sorted_numpy,
     _theta_from_sorted_py,
 )
-from hypersimplex.projection import BOUNDARY_TOL, _prefix_sums
+
+
+def _center_on_active_py(v, active_idx, n):
+    # the scalar centring loop, the oracle for backward._center_on_active
+    out = np.zeros(n, dtype=np.float64)
+    m = active_idx.shape[0]
+    if m == 0:
+        return out
+    s = 0.0
+    for j in range(m):
+        s += v[active_idx[j]]
+    mean = s / m
+    for j in range(m):
+        i = active_idx[j]
+        out[i] = v[i] - mean
+    return out
 
 
 def sorted_case(rng, n):
@@ -133,11 +149,14 @@ class TestCenterOnActive:
             v = rng.normal(0, 2, n)
             m = int(rng.integers(0, n + 1))
             active = np.sort(rng.permutation(n)[:m]).astype(np.int64)
-            np.testing.assert_allclose(_center_on_active_numpy(v, active, n),
+            np.testing.assert_allclose(_center_on_active(v, active, np.zeros(n)),
                                        _center_on_active_py(v, active, n),
                                        atol=1e-15)
 
     def test_same_bytes_as_scatter_of_centred_gather(self):
+        # into a zeroed vector, as jvp calls it, and into column c of a
+        # zeroed C-contiguous (n, C) array, as the multiclass loss does: that
+        # column gets the same bytes and every other entry stays 0.0
         rng = np.random.default_rng(85)
         for _ in range(300):
             n = int(rng.integers(1, 200))
@@ -147,22 +166,29 @@ class TestCenterOnActive:
             expected = np.zeros(n)
             if m:
                 expected[active] = v[active] - v[active].mean()
-            out = _center_on_active_numpy(v, active, n)
+            out = _center_on_active(v, active, np.zeros(n))
             assert out.tobytes() == expected.tobytes()
+            C = int(rng.integers(2, 6))
+            c = int(rng.integers(0, C))
+            grad = np.zeros((n, C))
+            _center_on_active(v, active, grad[:, c])
+            assert grad[:, c].tobytes() == expected.tobytes()
+            others = np.delete(grad, c, axis=1)
+            assert others.tobytes() == np.zeros_like(others).tobytes()
 
     def test_zero_mean_on_active_and_zero_off_active(self):
         rng = np.random.default_rng(82)
         v = rng.normal(0, 1, 10)
         active = np.array([1, 4, 7], dtype=np.int64)
-        out = _center_on_active_numpy(v, active, 10)
+        out = _center_on_active(v, active, np.zeros(10))
         assert out[active].sum() == pytest.approx(0.0, abs=1e-12)
         mask = np.ones(10, dtype=bool)
         mask[active] = False
         np.testing.assert_array_equal(out[mask], 0.0)
 
     def test_empty_active_set(self):
-        out = _center_on_active_numpy(
-            np.array([1.0, 2.0]), np.empty(0, dtype=np.int64), 2)
+        out = _center_on_active(
+            np.array([1.0, 2.0]), np.empty(0, dtype=np.int64), np.zeros(2))
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
 

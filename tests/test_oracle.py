@@ -111,6 +111,18 @@ class TestBruteForceProject:
         with pytest.raises(ValueError, match="overflows"):
             brute_force_project(np.array(x), HypersimplexSpec(3, 1, 1e-10))
 
+    @pytest.mark.parametrize("x, k", [([0.0, -2.0**54], 2), ([2.0**54], 1),
+                                      ([0.0, 2.0**53], 1)])
+    def test_refuses_scaled_input_from_2_to_53(self, x, k):
+        # u - 1 == u there: it returned y = [2, 0] and y = [0] for the first two
+        with pytest.raises(ValueError, match="2\\^53"):
+            brute_force_project(np.array(x), HypersimplexSpec(len(x), k, 1.0))
+
+    def test_accepts_scaled_input_just_below_2_to_53(self):
+        cert = brute_force_project(np.array([0.0, -(2.0**53 - 2.0)]), HypersimplexSpec(2, 2, 1.0))
+        assert cert.y.tolist() == [1.0, 1.0]
+        assert cert.max_violation == 0.0
+
     def test_requires_spec_object(self):
         with pytest.raises(TypeError):
             brute_force_project(np.zeros(3), (3, 1, 1.0))

@@ -10,10 +10,9 @@ from hypersimplex import (
     project,
     project_bisect,
 )
-from hypersimplex._kernels import _theta_from_sorted_numpy
 from hypersimplex.isotonic import project_sorted_via_isotonic
 from hypersimplex.oracle import brute_force_project
-from hypersimplex.projection import _prefix_sums
+from hypersimplex.projection import _prefix_sums, _theta_from_sorted_numpy
 
 
 class TestHypersimplexSpec:
@@ -304,21 +303,23 @@ def _overflow_boundary_cases():
     edges = [("positive", [EDGE, 0.0], [PAST_EDGE, 0.0]),
              ("negative", [0.0, -EDGE], [0.0, -PAST_EDGE])]
     for (name, solver), (side, x, past), k in itertools.product(solvers, edges, (0, 1, 2)):
-        marks = ()
-        if (name, side, k) == ("oracle", "negative", 2):
-            # u_i - 1 == u_i once |u_i| >= 2^53, so two patterns tie and the
-            # oracle returns y = [2, 0] with max_violation 1
-            marks = pytest.mark.xfail(strict=True, reason="oracle loses y at |u| >= 2^53")
-        yield pytest.param(solver, x, past, k, id=f"{name}-{side}-{k}", marks=marks)
+        # u_i - 1 == u_i once |u_i| >= 2^53, so patterns tie: the oracle
+        # refuses the edge, where it returned y = [2, 0] for negative-2
+        edge_error = "2\\^53" if name == "oracle" else None
+        yield pytest.param(solver, x, past, k, edge_error, id=f"{name}-{side}-{k}")
 
 
 class TestOverflowBoundary:
     # every solver that scales x by 1/tau shares the one overflow check
-    @pytest.mark.parametrize("solver, x, past, k", _overflow_boundary_cases())
-    def test_accepts_the_edge_and_rejects_one_ulp_past_it(self, solver, x, past, k):
+    @pytest.mark.parametrize("solver, x, past, k, edge_error", _overflow_boundary_cases())
+    def test_accepts_the_edge_and_rejects_one_ulp_past_it(self, solver, x, past, k, edge_error):
         spec = HypersimplexSpec(2, k, 0.5)
         with pytest.raises(ValueError, match="x / tau overflows float64"):
             solver(np.array(past), spec)
+        if edge_error is not None:
+            with pytest.raises(ValueError, match=edge_error):
+                solver(np.array(x), spec)
+            return
         out = solver(np.array(x), spec)
         y = out if isinstance(out, np.ndarray) else out.y
         assert y.tolist() == [1.0] * k + [0.0] * (2 - k)

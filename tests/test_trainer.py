@@ -493,8 +493,29 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             SweepConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("lr", "abc", "lr must be positive and finite, got 'abc'"),
+        ("lr", -0.5, "lr must be positive and finite, got -0.5"),
+        ("lr", 0.0, "lr must be positive and finite, got 0.0"),
+        ("lr", math.nan, "lr must be positive and finite, got nan"),
+        ("lr", math.inf, "lr must be positive and finite, got inf"),
+        ("lr", True, "lr must be positive and finite, got True"),
+        ("batches", [32.9], "batches must be integers, got 32.9"),
+        ("batches", [32, True], "batches must be integers, got True"),
+        ("seeds", [0.5, 1.7], "seeds must be integers, got 0.5"),
+        ("data_seed", "x", "data_seed must be an integer >= 0, got 'x'"),
+        ("data_seed", -1, "data_seed must be an integer >= 0, got -1"),
+        ("data_seed", 1.0, "data_seed must be an integer >= 0, got 1.0"),
+        ("data_seed", False, "data_seed must be an integer >= 0, got False"),
+    ])
+    def test_rejects_values_it_would_truncate_or_never_check(self, name, value, message):
+        # int() would have run a sweep over batch 32 and seeds 0, 1
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(**{name: value})
+        assert str(exc.value) == message
+
     def test_accepts_smallest_sizes(self):
-        SweepConfig(epochs=1, hidden=1, dims=1, m_train=1, m_test=1, classes=2)
+        SweepConfig(epochs=1, hidden=1, dims=1, m_train=1, m_test=1, classes=2, data_seed=0)
 
 
 class TestSweep:
