@@ -163,9 +163,10 @@ def hypersimplex_loss_multiclass(batch):
     one ``project`` call per class column.
 
     The residuals live in (C, n) layout, so each class's dot product and
-    centring read a contiguous row; ``jvp``'s centring writes each row's
-    centred active residual into its column of a zeroed C-contiguous (n, C)
-    gradient, which is divided by tau and then by n once. Per element these
+    centring read a contiguous row; ``backward._center_on_active``, the
+    centring ``jvp`` also runs, writes each row's centred active residual
+    into its column of a zeroed C-contiguous (n, C) gradient, which is
+    divided by tau and then by n once. Per element these
     are the operations of ``hypersimplex_loss`` over n, in the same order,
     so the bits are the same.
     """

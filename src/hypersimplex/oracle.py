@@ -7,17 +7,24 @@ None of them share solver code with the production paths, so agreement
 between the two is strong evidence of correctness. Test-only; never
 imported by the fast paths.
 
-The pattern table the projection oracle enumerates depends on n alone, so
-it is built on the first call for each n and kept (`_patterns`): one int8
-digit per coordinate and pattern plus two int8 counts per pattern, 7.4 MB
-at n = 12 (6.4 MB of digits) and about 11 MB over every n up to
-MAX_ORACLE_N. Nothing is built at import. Each call then only sums u over
-every pattern's interior set and scores the patterns chunk by chunk.
+The projection oracle scores the patterns coordinate-major, in aligned
+blocks of 3^_LOW consecutive codes: (n, block) work arrays whose row i is
+coordinate i, so every numpy pass runs over a block-long row. Within a
+block the low min(n, _LOW) digits run through the same combinations in
+the same order every time and the high n - _LOW digits stay constant.
+The low digits' table (`_low_block`: the int8 digits, their interior and
+one counts, and float64 rows of each digit's bounds and interior mask)
+depends on the digit count alone, so it is built on the first call for
+each count up to _LOW and kept: 1.3 MB at 8 digits, 1.9 MB for every
+count. The high digits' values are scalars per block, read from the table
+of n - _LOW digits. Nothing is built at import. Each call also sums u
+over every pattern's interior set, 3^n floats (4.3 MB at n = 12).
 """
 
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +39,9 @@ from .projection import (
 # 3^n patterns are enumerated; beyond this n the oracle refuses to run.
 MAX_ORACLE_N = 12
 
-# Patterns scored per vectorised step of brute_force_project; at n = 12 each
-# float64 work array is then 0.8 MB, and 3^12 patterns score ~25% faster
-# than with 65536 per step (6.3 MB arrays) on a 2-CPU Xeon VM.
-_CHUNK = 8192
+# Low digits per block of brute_force_project: at n = 12 each (n, 3^8)
+# float64 work array is 0.6 MB.
+_LOW = 8
 
 _ZERO, _ACTIVE, _ONE = 0, 1, 2
 # Each pattern digit confines d = u - theta to an interval: y = 0 needs
@@ -59,31 +65,63 @@ class KKTCertificate:
     max_violation: float
 
 
-@functools.lru_cache(maxsize=MAX_ORACLE_N)
-def _patterns(n):
-    """Every boundary pattern of n coordinates, in code order.
+class _LowBlock(NamedTuple):
+    """The low digits of every pattern in a block, one column per code.
 
-    Row c holds the base-3 digits of code c, least significant first
-    (0 zero, 1 interior, 2 one), as int8; m and n_one count each row's
-    interior and one digits. The arrays are shared, so they are read-only.
+    Column c holds the base-3 digits of code c, least significant first
+    (0 zero, 1 interior, 2 one), as int8; m and n_one count each column's
+    interior and one digits. lo, hi and interior are the digits' _LO and
+    _HI bounds and their interior mask (1.0 or 0.0), as float64; free
+    lists the columns without an interior digit.
     """
-    digits = np.empty((3**n, n), dtype=np.int8)
-    for i in range(n):
-        digits[:, i] = np.tile(np.repeat(np.arange(3, dtype=np.int8), 3**i), 3 ** (n - 1 - i))
-    m = np.count_nonzero(digits == _ACTIVE, axis=1).astype(np.int8)
-    n_one = np.count_nonzero(digits == _ONE, axis=1).astype(np.int8)
-    for a in (digits, m, n_one):
+
+    digits: np.ndarray
+    m: np.ndarray
+    n_one: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    interior: np.ndarray
+    free: np.ndarray
+
+
+@functools.lru_cache(maxsize=_LOW + 1)
+def _low_block(low):
+    """The block table of `low` digits, shared and so read-only."""
+    codes = np.arange(3**low)
+    digits = np.empty((low, codes.size), dtype=np.int8)
+    for i in range(low):
+        digits[i] = codes // 3**i % 3
+    m = np.count_nonzero(digits == _ACTIVE, axis=0).astype(np.int8)
+    block = _LowBlock(
+        digits=digits,
+        m=m,
+        n_one=np.count_nonzero(digits == _ONE, axis=0).astype(np.int8),
+        lo=_LO[digits],
+        hi=_HI[digits],
+        interior=(digits == _ACTIVE).astype(np.float64),
+        free=np.flatnonzero(m == 0),
+    )
+    for a in block:
         a.flags.writeable = False
-    return digits, m, n_one
+    return block
 
 
 def _active_sums(u):
     """Sum of u over the interior coordinates of every pattern, in code order,
     accumulated coordinate by coordinate."""
     s = np.zeros(1)
-    for ui in u:
-        s = (np.array([0.0, ui, 0.0])[:, None] + s[None, :]).ravel()
+    for ui in u.tolist():
+        # an interior digit adds ui; the others keep s (never -0.0, so 0.0 + s is s)
+        s = np.concatenate((s, ui + s, s))
     return s
+
+
+def _midpoints(lo, hi):
+    # theta of patterns without an interior coordinate: any theta in
+    # [lo, hi] = [max_zero u, min_one u - 1] works
+    lo_finite = np.isfinite(lo)
+    both = lo_finite & np.isfinite(hi)
+    return np.where(both, 0.5 * (lo + hi), np.where(lo_finite, lo, hi))
 
 
 def _theta_for_patterns(u, k, digits, m, n_one, s_act):
@@ -92,12 +130,10 @@ def _theta_for_patterns(u, k, digits, m, n_one, s_act):
     has_act = m > 0
     theta[has_act] = (n_one[has_act] + s_act[has_act] - k) / m[has_act]
     if not np.all(has_act):
-        # no interior coordinate: any theta in [max_zero u, min_one u - 1] works
         rows = digits[~has_act]
         lo = np.max(np.where(rows == _ZERO, u, -np.inf), axis=1)
         hi = np.min(np.where(rows == _ONE, u, np.inf), axis=1) - 1.0
-        both = np.isfinite(lo) & np.isfinite(hi)
-        theta[~has_act] = np.where(both, 0.5 * (lo + hi), np.where(np.isfinite(lo), lo, hi))
+        theta[~has_act] = _midpoints(lo, hi)
     return theta
 
 
@@ -126,9 +162,12 @@ def brute_force_project(x, spec):
 
     For every assignment of coordinates to {zero, interior, one} the
     threshold is solved in closed form and the optimality conditions are
-    scored; the least-violating pattern wins (smallest pattern code on
-    ties, so the result is deterministic). Refuses n > MAX_ORACLE_N, x / tau
-    whose running sums overflow float64, and |x / tau| >= 2^53.
+    scored: each pattern's total is its per-coordinate breaches, summed in
+    coordinate order, plus its sum-constraint gap. The least total wins,
+    the smallest pattern code on ties, so the result is deterministic; the
+    winner alone is rescored row-wise for the certificate. Refuses
+    n > MAX_ORACLE_N, x / tau whose running sums overflow float64, and
+    |x / tau| >= 2^53.
     """
     if not isinstance(spec, HypersimplexSpec):
         raise TypeError("spec must be a HypersimplexSpec")
@@ -146,27 +185,66 @@ def brute_force_project(x, spec):
     if float(np.max(np.abs(u))) >= 2.0**53:
         raise ValueError("the oracle needs |x / tau| < 2^53, where u - 1 != u")
     k = float(spec.k)
-    digits, m, n_one = _patterns(spec.n)
+    n = spec.n
+    low = min(n, _LOW)
+    tab, high_tab = _low_block(low), _low_block(n - low)
+    size = tab.m.shape[0]
     s_act = _active_sums(u)
+    u_col, u_high = u[:, None], u[low:].tolist()
+    # the columns without an interior low digit, and their low digits' share
+    # of the midpoint rule's bounds: max u over zero digits, min u over ones
+    free = tab.free
+    free_digits = tab.digits[:, free]
+    lo_free = np.where(free_digits == _ZERO, u_col[:low], -np.inf).max(axis=0)
+    hi_free = np.where(free_digits == _ONE, u_col[:low], np.inf).min(axis=0)
 
+    # row i of the work arrays is coordinate i
+    d, work = np.empty((n, size)), np.empty((n, size))
     best_total = np.inf
     best_code = -1
-    for start in range(0, digits.shape[0], _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        theta = _theta_for_patterns(u, k, digits[rows], m[rows], n_one[rows], s_act[rows])
-        per_coord, gap = _pattern_violations(u, k, theta, digits[rows], n_one[rows])
-        total = per_coord.sum(axis=1) + gap
-        i = int(np.argmin(total))  # first index wins ties within the chunk
+    for block in range(high_tab.m.shape[0]):
+        m_high = int(high_tab.m[block])
+        start = block * size
+        m = tab.m + m_high
+        n_one = tab.n_one + int(high_tab.n_one[block])
+        theta = n_one + s_act[start:start + size]
+        theta -= k
+        with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 at `free`
+            theta /= m
+        if m_high == 0:
+            high = list(zip(high_tab.digits[:, block].tolist(), u_high))
+            lo = np.maximum(lo_free, max([v for g, v in high if g == _ZERO], default=-np.inf))
+            hi = np.minimum(hi_free, min([v for g, v in high if g == _ONE], default=np.inf)) - 1.0
+            theta[free] = _midpoints(lo, hi)
+        np.subtract(u_col, theta, out=d)
+        # sum(y) - k first: interior y is d, the rest contribute +-0.0
+        np.multiply(d[:low], tab.interior, out=work[:low])
+        np.multiply(d[low:], high_tab.interior[:, block, None], out=work[low:])
+        gap = np.abs(n_one + work.sum(axis=0) - k)
+        np.subtract(tab.lo, d[:low], out=work[:low])
+        np.subtract(high_tab.lo[:, block, None], d[low:], out=work[low:])
+        np.maximum(work, 0.0, out=work)
+        np.subtract(d[:low], tab.hi, out=d[:low])
+        np.subtract(d[low:], high_tab.hi[:, block, None], out=d[low:])
+        np.maximum(d, 0.0, out=d)
+        work += d
+        # a reduction over the leading axis adds row after row: coordinate order
+        total = work.sum(axis=0)
+        total += gap
+        i = int(total.argmin())  # first index wins ties within the block
         if total[i] < best_total:
             best_total = float(total[i])
             best_code = start + i
 
-    rows = slice(best_code, best_code + 1)
-    theta = _theta_for_patterns(u, k, digits[rows], m[rows], n_one[rows], s_act[rows])
-    per_coord, gap = _pattern_violations(u, k, theta, digits[rows], n_one[rows])
+    code = [best_code // 3**i % 3 for i in range(n)]
+    digits = np.array([code], dtype=np.int8)
+    m, n_one = np.array([code.count(_ACTIVE)]), np.array([code.count(_ONE)])
+    s_best = s_act[best_code:best_code + 1]
+    theta = _theta_for_patterns(u, k, digits, m, n_one, s_best)
+    per_coord, gap = _pattern_violations(u, k, theta, digits, n_one)
     worst = max(float(per_coord.max()), float(gap[0]))
 
-    best = digits[best_code]
+    best = digits[0]
     y = np.where(best == _ONE, 1.0, 0.0)
     y[best == _ACTIVE] = u[best == _ACTIVE] - theta[0]
     return KKTCertificate(y=y, theta=float(theta[0]), max_violation=worst)

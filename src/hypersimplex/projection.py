@@ -341,16 +341,19 @@ def _sort_desc(u):
 
 def _solve_theta(u_sorted, k):
     """theta with sum(clip(u - theta, 0, 1)) = k, at the first breakpoint
-    of the walk over u_sorted, as ``_sort_desc`` returns it, that reaches k.
+    of the walk over u_sorted that reaches k.
 
-    Up to _WALK_MAX_N the running sums and the walk run on Python floats,
-    which skips numpy's fixed cost per call; above it numpy sums and the
-    bracketed kernel solves. Both give the same bits: the sorted values and
-    the left-to-right sums are the same, and both solvers return a zero
-    theta as 0.0, whichever signed zero a sort put first. Raises ValueError
-    if a running sum overflows.
+    u_sorted is nonincreasing: what ``_sort_desc`` returns, or any 1-D
+    float64 array in that order, such as an isotonic fit. Up to _WALK_MAX_N
+    the running sums and the walk run on Python floats, which skips numpy's
+    fixed cost per call; above it numpy sums and the bracketed kernel
+    solves. Both give the same bits: the values and the left-to-right sums
+    are the same, and both solvers return a zero theta as 0.0, whichever
+    signed zero comes first. Raises ValueError if a running sum overflows.
     """
     if len(u_sorted) <= _WALK_MAX_N:
+        if isinstance(u_sorted, np.ndarray):
+            u_sorted = u_sorted.tolist()
         prefix = [0.0, *itertools.accumulate(u_sorted)]
         # the addends are finite, so the last sum is finite iff every one is
         if not math.isfinite(prefix[-1]):

@@ -13,6 +13,7 @@ import csv
 import gzip
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -456,10 +457,13 @@ class SweepConfig:
         for name in self.losses:
             if name not in LOSS_NAMES:
                 raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
-        if isinstance(self.seeds, int):
+        if _is_integer(self.seeds):
             self.seeds = range(self.seeds)
         for name in ("batches", "seeds"):
-            values = tuple(getattr(self, name))
+            values = getattr(self, name)
+            if isinstance(values, str) or not isinstance(values, (Sequence, np.ndarray)):
+                raise ValueError(f"{name} must be a list of integers, got {values!r}")
+            values = tuple(values)
             for value in values:
                 if not _is_integer(value):
                     raise ValueError(f"{name} must be integers, got {value!r}")
@@ -471,6 +475,10 @@ class SweepConfig:
         if not ((isinstance(lr, (float, np.floating)) or _is_integer(lr))
                 and lr > 0 and math.isfinite(lr)):
             raise ValueError(f"lr must be positive and finite, got {lr!r}")
+        sep = self.separation
+        if not ((isinstance(sep, (float, np.floating)) or _is_integer(sep))
+                and math.isfinite(sep)):
+            raise ValueError(f"separation must be a finite number, got {sep!r}")
         for name, least in (("epochs", 1), ("hidden", 1), ("dims", 1), ("m_train", 1),
                             ("m_test", 1), ("classes", 2), ("data_seed", 0)):
             value = getattr(self, name)

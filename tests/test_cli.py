@@ -317,6 +317,11 @@ class TestSweepCommand:
         ({"lr": "abc"}, "lr must be positive and finite, got 'abc'"),
         ({"lr": math.nan}, "lr must be positive and finite, got nan"),
         ({"batches": [32.9]}, "batches must be integers, got 32.9"),
+        ({"batches": 32}, "batches must be a list of integers, got 32"),
+        ({"separation": "abc"}, "separation must be a finite number, got 'abc'"),
+        ({"separation": math.nan}, "separation must be a finite number, got nan"),
+        ({"separation": math.inf}, "separation must be a finite number, got inf"),
+        ({"separation": True}, "separation must be a finite number, got True"),
         ({"seeds": [0.5, 1.7]}, "seeds must be integers, got 0.5"),
         ({"data_seed": "x"}, "data_seed must be an integer >= 0, got 'x'"),
     ])

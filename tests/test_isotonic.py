@@ -137,6 +137,20 @@ class TestProjectSortedViaIsotonic:
             y_gen = project(x, spec).y
             np.testing.assert_allclose(y_iso, y_gen, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [40, 300])  # either side of the scalar walk's cut-off
+    def test_solves_on_its_fit_without_sorting_it(self, monkeypatch, n):
+        def no_sort(u):
+            raise AssertionError("the isotonic route sorted its nonincreasing fit")
+
+        monkeypatch.setattr("hypersimplex.projection._sort_desc", no_sort)
+        # a name imported into isotonic would hold its own reference
+        monkeypatch.setattr("hypersimplex.isotonic._sort_desc", no_sort, raising=False)
+        x = np.sort(np.random.default_rng(n).normal(0, 2, n))[::-1].copy()
+        spec = HypersimplexSpec(n, n // 3, 0.5)
+        y = project_sorted_via_isotonic(x, spec)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(y, project(x, spec).y)
+
     def test_output_is_monotone_and_feasible(self):
         rng = np.random.default_rng(47)
         for _ in range(200):

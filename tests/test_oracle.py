@@ -8,12 +8,21 @@ import pytest
 
 from hypersimplex import HypersimplexSpec, hard_topk, jvp, project
 from hypersimplex.oracle import (
+    _LOW,
     MAX_ORACLE_N,
-    _patterns,
+    _low_block,
     brute_force_project,
     exhaustive_topk,
     fd_jacobian,
 )
+
+
+def left_sum(values):
+    """Sum accumulated left to right: builtin sum compensates from Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def kkt_enumeration(x, spec):
@@ -31,7 +40,7 @@ def kkt_enumeration(x, spec):
         act = [u[i] for i, g in enumerate(digits) if g == 1]
         n_one = digits.count(2)
         if act:
-            theta = (n_one + sum(act) - spec.k) / len(act)
+            theta = (n_one + left_sum(act) - spec.k) / len(act)
         else:
             lo = max((u[i] for i, g in enumerate(digits) if g == 0), default=-math.inf)
             hi = min((u[i] for i, g in enumerate(digits) if g == 2), default=math.inf) - 1.0
@@ -48,34 +57,39 @@ def kkt_enumeration(x, spec):
                 breaches.append(max(-d, 0.0) + max(d - 1.0, 0.0))
             else:
                 breaches.append(max(1.0 - d, 0.0))
-        gap = abs(n_one + sum(a - theta for a in act) - spec.k)
-        total = sum(breaches) + gap
+        gap = abs(n_one + left_sum(a - theta for a in act) - spec.k)
+        total = left_sum(breaches) + gap
         if best is None or total < best[0]:
             y = [ui - theta if g == 1 else float(g == 2) for ui, g in zip(u, digits)]
             best = (total, y, theta, max(max(breaches), gap))
     return np.array(best[1]), best[2], best[3]
 
 
-class TestPatternTable:
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_rows_are_base3_digits_of_their_code(self, n):
-        digits, m, n_one = _patterns(n)
-        codes = np.arange(3**n)
-        expected = np.stack([(codes // 3**i) % 3 for i in range(n)], axis=1)
-        assert digits.dtype == m.dtype == n_one.dtype == np.int8
-        np.testing.assert_array_equal(digits, expected)
-        np.testing.assert_array_equal(m, np.count_nonzero(expected == 1, axis=1))
-        np.testing.assert_array_equal(n_one, np.count_nonzero(expected == 2, axis=1))
+class TestLowBlockTable:
+    @pytest.mark.parametrize("low", range(0, 6))
+    def test_columns_are_base3_digits_of_their_code(self, low):
+        tab = _low_block(low)
+        codes = np.arange(3**low)
+        expected = np.array([(codes // 3**i) % 3 for i in range(low)], dtype=int)
+        expected = expected.reshape(low, 3**low)  # (0, 1) at low = 0
+        assert tab.digits.dtype == tab.m.dtype == tab.n_one.dtype == np.int8
+        np.testing.assert_array_equal(tab.digits, expected)
+        np.testing.assert_array_equal(tab.m, np.count_nonzero(expected == 1, axis=0))
+        np.testing.assert_array_equal(tab.n_one, np.count_nonzero(expected == 2, axis=0))
+        np.testing.assert_array_equal(tab.lo, np.array([-np.inf, 0.0, 1.0])[expected])
+        np.testing.assert_array_equal(tab.hi, np.array([0.0, 1.0, np.inf])[expected])
+        np.testing.assert_array_equal(tab.interior, expected == 1)
+        np.testing.assert_array_equal(tab.free, np.flatnonzero(np.all(expected != 1, axis=0)))
 
     def test_shared_table_is_read_only(self):
-        for a in _patterns(3):
+        for a in _low_block(3):
             with pytest.raises(ValueError):
                 a[0] = 1
 
     def test_not_built_at_import(self):
         out = subprocess.run(
             [sys.executable, "-c",
-             "import hypersimplex.oracle as o; print(o._patterns.cache_info().currsize)"],
+             "import hypersimplex.oracle as o; print(o._low_block.cache_info().currsize)"],
             capture_output=True, text=True, check=True,
         ).stdout
         assert out.strip() == "0"
@@ -146,25 +160,43 @@ class TestBruteForceProject:
 
     def test_matches_plain_enumeration(self):
         # Gaussian scores and 0.25-grid ties (exact boundary hits); every
-        # fourth instance has k = 0 and every fourth k = n
+        # fourth instance has k = 0 and every fourth k = n. The last 12 have
+        # n = 9: three blocks of 3^8 codes, told apart by the last digit.
         rng = np.random.default_rng(32)
-        for i in range(200):
-            n = int(rng.integers(1, 7))
+        for i in range(212):
+            n = int(rng.integers(1, 7)) if i < 200 else _LOW + 1
             k = (0, n, int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1)))[i % 4]
             tau = float(rng.choice([0.5, 1.0, 2.0]))
             x = rng.normal(0, 2, n) if i % 2 else rng.integers(-8, 9, n) * 0.25
             spec = HypersimplexSpec(n, k, tau)
             cert = brute_force_project(x, spec)
             y, theta, violation = kkt_enumeration(x, spec)
-            np.testing.assert_allclose(cert.y, y, rtol=0, atol=1e-12)
-            assert cert.theta == pytest.approx(theta, rel=0, abs=1e-12)
-            assert cert.max_violation == pytest.approx(violation, rel=0, abs=1e-12)
+            np.testing.assert_array_equal(cert.y, y)
+            assert (cert.theta, cert.max_violation) == (theta, violation)
+
+    @pytest.mark.parametrize("x", [
+        # code 1 (block 0: y_0 interior at d = 1, theta 2) beats code 2 + 3^8
+        # (block 1: y_0 at one, y_8 interior at d = 0, theta 0)
+        [3.0] + [-5.0] * 7 + [0.0],
+        # code 3^8 (block 1: y_8 interior at d = 1, theta 2) beats code 2 * 3^8
+        # (block 2: y_8 at one, theta 1 by the midpoint rule) and later ones
+        [0.0] * 8 + [3.0],
+    ])
+    def test_tie_across_blocks_goes_to_the_smallest_code(self, x):
+        # every zero-violation pattern gives the same y, but each its own theta
+        spec = HypersimplexSpec(_LOW + 1, 1, 1.0)
+        cert = brute_force_project(np.array(x), spec)
+        assert cert.theta == 2.0
+        assert cert.max_violation == 0.0
+        y, theta, violation = kkt_enumeration(x, spec)
+        np.testing.assert_array_equal(cert.y, y)
+        assert (cert.theta, cert.max_violation) == (theta, violation)
 
     def test_results_do_not_depend_on_call_order(self):
         rng = np.random.default_rng(33)
         small, large = HypersimplexSpec(3, 1, 1.0), HypersimplexSpec(MAX_ORACLE_N, 5, 1.0)
         xs, xl = rng.normal(0, 3, 3), rng.normal(0, 3, MAX_ORACLE_N)
-        _patterns.cache_clear()
+        _low_block.cache_clear()
         certs = [brute_force_project(x, spec)
                  for x, spec in ((xs, small), (xl, large), (xs, small), (xl, large))]
         for a, b in ((certs[0], certs[2]), (certs[1], certs[3])):

@@ -466,6 +466,7 @@ class TestSweepConfig:
 
     def test_seed_count_expands_to_range(self):
         assert SweepConfig(seeds=3).seeds == (0, 1, 2)
+        assert SweepConfig(seeds=np.int64(2)).seeds == (0, 1)
 
     def test_explicit_seed_tuple_kept(self):
         assert SweepConfig(seeds=[5, 7]).seeds == (5, 7)
@@ -502,6 +503,15 @@ class TestSweepConfig:
         ("lr", True, "lr must be positive and finite, got True"),
         ("batches", [32.9], "batches must be integers, got 32.9"),
         ("batches", [32, True], "batches must be integers, got True"),
+        ("batches", 32, "batches must be a list of integers, got 32"),
+        ("batches", "32", "batches must be a list of integers, got '32'"),
+        ("seeds", {0: 1}, "seeds must be a list of integers, got {0: 1}"),
+        ("seeds", True, "seeds must be a list of integers, got True"),
+        ("separation", "abc", "separation must be a finite number, got 'abc'"),
+        ("separation", math.nan, "separation must be a finite number, got nan"),
+        ("separation", -math.inf, "separation must be a finite number, got -inf"),
+        ("separation", True, "separation must be a finite number, got True"),
+        ("separation", None, "separation must be a finite number, got None"),
         ("seeds", [0.5, 1.7], "seeds must be integers, got 0.5"),
         ("data_seed", "x", "data_seed must be an integer >= 0, got 'x'"),
         ("data_seed", -1, "data_seed must be an integer >= 0, got -1"),
@@ -516,6 +526,14 @@ class TestSweepConfig:
 
     def test_accepts_smallest_sizes(self):
         SweepConfig(epochs=1, hidden=1, dims=1, m_train=1, m_test=1, classes=2, data_seed=0)
+
+    @pytest.mark.parametrize("separation", [-2.5, 0, 3, np.float32(1.5)])
+    def test_accepts_any_finite_separation(self, separation):
+        assert SweepConfig(separation=separation).separation == separation
+
+    def test_accepts_batch_sequences(self):
+        assert SweepConfig(batches=range(16, 48, 16)).batches == (16, 32)
+        assert SweepConfig(batches=np.array([8, 4])).batches == (8, 4)
 
 
 class TestSweep:
