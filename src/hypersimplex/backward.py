@@ -30,8 +30,9 @@ def _center_on_active(v, active_idx, out):
     out; the caller zeroes out, the Jacobian's rows off the active set."""
     if active_idx.shape[0] > 0:
         va = v[active_idx]
-        # the pairwise sum and division of va.mean(), without its wrapper
-        va -= va.sum() / va.shape[0]
+        # the pairwise sum and division of va.mean(), without its wrappers:
+        # np.add.reduce is the reduce that ndarray.sum calls
+        va -= np.add.reduce(va) / va.shape[0]
         out[active_idx] = va
     return out
 

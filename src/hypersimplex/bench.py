@@ -45,8 +45,8 @@ def _median_ns(fn, reps):
 
 
 def bench_projection(sizes, reps, seed=0):
-    """Rows for the full projection, the sort it runs (``_sort_desc``) and
-    the theta solve of its numpy route, the one project takes above n = 64."""
+    """Rows for the full projection and for the sort (``_sort_desc``) and
+    theta solve of its numpy route, the one project takes above n = 64."""
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:

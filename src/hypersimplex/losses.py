@@ -183,6 +183,7 @@ def hypersimplex_loss_multiclass(batch):
         r = np.subtract(result.y, targets[c], out=resid[c])
         value += 0.5 * float(np.dot(r, r))
         _center_on_active(r, result.active, grad[:, c])
-    grad /= batch.tau
+    if batch.tau != 1.0:  # dividing by 1.0 changes no bit
+        grad /= batch.tau
     grad /= n
     return LossEval(value=value / n, grad=grad)

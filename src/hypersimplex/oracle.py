@@ -17,8 +17,10 @@ one counts, and float64 rows of each digit's bounds and interior mask)
 depends on the digit count alone, so it is built on the first call for
 each count up to _LOW and kept: 1.3 MB at 8 digits, 1.9 MB for every
 count. The high digits' values are scalars per block, read from the table
-of n - _LOW digits. Nothing is built at import. Each call also sums u
-over every pattern's interior set, 3^n floats (4.3 MB at n = 12).
+of n - _LOW digits. Nothing is built at import. Each call sums u over
+the interior set of every low-digit pattern once, and each block adds its
+high interior coordinates to those sums in a block-long buffer, so no
+3^n-long array is built.
 """
 
 import functools
@@ -189,7 +191,7 @@ def brute_force_project(x, spec):
     low = min(n, _LOW)
     tab, high_tab = _low_block(low), _low_block(n - low)
     size = tab.m.shape[0]
-    s_act = _active_sums(u)
+    s_low = _active_sums(u[:low])
     u_col, u_high = u[:, None], u[low:].tolist()
     # the columns without an interior low digit, and their low digits' share
     # of the midpoint rule's bounds: max u over zero digits, min u over ones
@@ -199,7 +201,7 @@ def brute_force_project(x, spec):
     hi_free = np.where(free_digits == _ONE, u_col[:low], np.inf).min(axis=0)
 
     # row i of the work arrays is coordinate i
-    d, work = np.empty((n, size)), np.empty((n, size))
+    d, work, s_act = np.empty((n, size)), np.empty((n, size)), np.empty(size)
     best_total = np.inf
     best_code = -1
     for block in range(high_tab.m.shape[0]):
@@ -207,12 +209,18 @@ def brute_force_project(x, spec):
         start = block * size
         m = tab.m + m_high
         n_one = tab.n_one + int(high_tab.n_one[block])
-        theta = n_one + s_act[start:start + size]
+        # the high interior coordinates come after the low ones, and each
+        # adds as _active_sums adds it
+        high = list(zip(high_tab.digits[:, block].tolist(), u_high))
+        s = s_low
+        for g, v in high:
+            if g == _ACTIVE:
+                s = np.add(v, s, out=s_act)
+        theta = n_one + s
         theta -= k
         with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 at `free`
             theta /= m
         if m_high == 0:
-            high = list(zip(high_tab.digits[:, block].tolist(), u_high))
             lo = np.maximum(lo_free, max([v for g, v in high if g == _ZERO], default=-np.inf))
             hi = np.minimum(hi_free, min([v for g, v in high if g == _ONE], default=np.inf)) - 1.0
             theta[free] = _midpoints(lo, hi)
@@ -239,7 +247,11 @@ def brute_force_project(x, spec):
     code = [best_code // 3**i % 3 for i in range(n)]
     digits = np.array([code], dtype=np.int8)
     m, n_one = np.array([code.count(_ACTIVE)]), np.array([code.count(_ONE)])
-    s_best = s_act[best_code:best_code + 1]
+    s_best = 0.0
+    for g, v in zip(code, u.tolist()):
+        if g == _ACTIVE:
+            s_best = v + s_best
+    s_best = np.array([s_best])
     theta = _theta_for_patterns(u, k, digits, m, n_one, s_best)
     per_coord, gap = _pattern_violations(u, k, theta, digits, n_one)
     worst = max(float(per_coord.max()), float(gap[0]))

@@ -133,8 +133,9 @@ def _prefix_sums(v):
     """[0, v_0, v_0 + v_1, ...]: the n + 1 running sums the threshold solve
     reads, accumulated left to right.
 
-    v is sorted, so its ends bound |v|. Raises ValueError if a running sum
-    overflows float64.
+    v is sorted, so its ends bound |v|. Raises ValueError if the last
+    running sum is not finite: a running sum overflows float64, or v holds
+    NaN (numpy sorts it to an end) or Inf.
     """
     n = v.shape[0]
     prefix = np.empty(n + 1)
@@ -302,6 +303,17 @@ def _theta_from_sorted_py(u_sorted, prefix, k):
     n = len(u_sorted)
     a = 0
     b = 0
+    # g <= b up to rounding, and the kernel's tol bounds that rounding; when
+    # tol < 1 no event before the one that activates u_(k-1) reaches k, so
+    # the walk may start there: b = k, and the a saturations that the walk
+    # takes strictly ahead of that activation
+    kb = int(k)
+    big = max(abs(u_sorted[0]), abs(u_sorted[-1]))
+    if 0 < kb < n and 8.0 * _UNIT_ROUNDOFF * (n + 2) ** 2 * (big + 1.0) < 1.0:
+        b = kb
+        t = u_sorted[kb - 1]
+        while u_sorted[a] - 1.0 > t:
+            a += 1
     while a < n or b < n:
         t_act = u_sorted[b] if b < n else -math.inf
         t_sat = u_sorted[a] - 1.0 if a < n else -math.inf
@@ -329,10 +341,8 @@ _WALK_MAX_N = 64
 
 
 def _sort_desc(u):
-    """u sorted descending: a list of Python floats up to _WALK_MAX_N, a
-    reversed view of numpy's sorted copy above."""
-    if u.shape[0] <= _WALK_MAX_N:
-        return sorted(u.tolist(), reverse=True)
+    """u sorted descending, as project's numpy route sorts it: a reversed
+    view of numpy's sorted copy."""
     # np.sort(u)[::-1] without np.sort's wrapper: the same copy and sort
     u_sorted = u.copy()
     u_sorted.sort()
@@ -343,19 +353,22 @@ def _solve_theta(u_sorted, k):
     """theta with sum(clip(u - theta, 0, 1)) = k, at the first breakpoint
     of the walk over u_sorted that reaches k.
 
-    u_sorted is nonincreasing: what ``_sort_desc`` returns, or any 1-D
-    float64 array in that order, such as an isotonic fit. Up to _WALK_MAX_N
-    the running sums and the walk run on Python floats, which skips numpy's
-    fixed cost per call; above it numpy sums and the bracketed kernel
-    solves. Both give the same bits: the values and the left-to-right sums
-    are the same, and both solvers return a zero theta as 0.0, whichever
-    signed zero comes first. Raises ValueError if a running sum overflows.
+    u_sorted is nonincreasing: project's sorted list of Python floats,
+    what ``_sort_desc`` returns, or any 1-D float64 array in that order,
+    such as an isotonic fit. Up to _WALK_MAX_N the running sums and the
+    walk run on Python floats, which skips numpy's fixed cost per call;
+    above it numpy sums and the bracketed kernel solves. Both give the
+    same bits: the values and the left-to-right sums are the same, and
+    both solvers return a zero theta as 0.0, whichever signed zero comes
+    first. Raises ValueError if the last running sum is not finite: a
+    running sum overflows, or u_sorted holds NaN or Inf.
     """
     if len(u_sorted) <= _WALK_MAX_N:
         if isinstance(u_sorted, np.ndarray):
             u_sorted = u_sorted.tolist()
         prefix = [0.0, *itertools.accumulate(u_sorted)]
-        # the addends are finite, so the last sum is finite iff every one is
+        # inf and NaN propagate, so the last sum is finite iff every
+        # addend and every running sum is
         if not math.isfinite(prefix[-1]):
             raise ValueError(_RUNNING_SUM_OVERFLOW)
         return _theta_from_sorted_py(u_sorted, prefix, k)
@@ -395,23 +408,53 @@ def project(x, spec):
     floats; above that a 128-way search brackets it and one vectorised pass
     over a window of about 128 breakpoints pins it, without building the
     merged list of all 2n breakpoints. Both give the same theta to the bit.
-    O(n log n) total, dominated by the value sort. Raises ValueError if
-    x / tau or its running sums overflow float64.
+    O(n log n) total, dominated by the value sort.
+
+    Raises ValueError for a score vector that is not 1-D of length n, holds
+    NaN or Inf, or whose x / tau or running sums overflow float64. The
+    shape is checked up front. For 0 < k < n the other checks ride on the
+    solve: the last running sum of the sorted x / tau is non-finite exactly
+    when one of them fails, and only then does ``_as_score_vector`` run, so
+    the messages and their order are those of every other entry point.
     """
-    x = _as_score_vector(x, spec)
-    u = x / spec.tau
-    if spec.k == 0 or spec.k == spec.n:
-        return _degenerate(u, spec)
-    # u_sorted is not read after the solve, but it lives until project
-    # returns: freed before _classify allocates, its pages go back to the
-    # system and fault in again; at n = 2^20 on a 2-CPU Xeon VM that raised
-    # the minor faults per call from ~2,300 to 3,300-4,300
-    u_sorted = _sort_desc(u)
-    theta = _solve_theta(u_sorted, float(spec.k))
-    # u is ours: clip y into its buffer. ndarray.clip is the clip ufunc,
-    # which keeps -0.0; np.maximum/np.minimum would turn it into +0.0
-    y = np.subtract(u, theta, out=u).clip(0.0, 1.0, out=u)
-    return _classify(y, theta, spec)
+    x = np.asarray(x, dtype=np.float64)
+    n, k, tau = spec.n, spec.k, spec.tau
+    if x.shape != (n,) or k == 0 or k == n:
+        # a wrong shape always fails these checks; the corners read no
+        # running sum, so they need all of them
+        x = _as_score_vector(x, spec)
+        return _degenerate(x / tau, spec)
+    try:
+        if n <= _WALK_MAX_N:
+            # one list of Python floats, which divide without numpy's
+            # overflow warning; x / 1.0 is x to the bit
+            u_sorted = x.tolist()
+            if tau != 1.0:
+                u_sorted = [v / tau for v in u_sorted]
+            u_sorted.sort(reverse=True)
+            theta = _solve_theta(u_sorted, float(k))
+            y = np.subtract(x if tau == 1.0 else x / tau, theta)
+        else:
+            with np.errstate(over="ignore"):  # reported below
+                u = x / tau
+            # u_sorted is not read after the solve, but it lives until
+            # project returns: freed before _classify allocates, its pages
+            # go back to the system and fault in again; at n = 2^20 on a
+            # 2-CPU Xeon VM that raised the minor faults per call from
+            # ~2,300 to 3,300-4,300
+            u_sorted = _sort_desc(u)
+            theta = _solve_theta(u_sorted, float(k))
+            # u is ours: y goes into its buffer
+            y = np.subtract(u, theta, out=u)
+    except ValueError:
+        # the last running sum is not finite. NaN or Inf in x and an
+        # overflowing x / tau raise their own messages here; otherwise a
+        # running sum overflowed
+        _as_score_vector(x, spec)
+        raise
+    # ndarray.clip is the clip ufunc, which keeps -0.0; np.maximum and
+    # np.minimum would turn it into +0.0
+    return _classify(y.clip(0.0, 1.0, out=y), theta, spec)
 
 
 _BISECT_TOL = 1e-12

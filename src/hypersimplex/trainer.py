@@ -121,9 +121,13 @@ class MlpModel:
         self.b2 -= lr * db2
 
     def params_finite(self):
-        return all(
-            np.all(np.isfinite(p)) for p in (self.W1, self.b1, self.W2, self.b2)
-        )
+        # an array's min and max are NaN if any entry is, and infinite if
+        # any entry is; the reduce ufuncs skip np.all/np.isfinite's temporaries
+        for p in (self.W1, self.b1, self.W2, self.b2):
+            if not (math.isfinite(np.minimum.reduce(p, axis=None))
+                    and math.isfinite(np.maximum.reduce(p, axis=None))):
+                return False
+        return True
 
 
 def loss_layer(name, scores, labels, tau):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -252,13 +253,18 @@ class TestProject:
             solver(np.array(x), HypersimplexSpec(3, k, 1e-10))
 
     def test_same_bits_as_the_numpy_kernel_route(self):
-        # up to n = 64 project sorts, sums and walks on Python floats; its
-        # theta and y must equal those of numpy's sort, _prefix_sums and the
-        # kernel to the bit
+        # up to n = 64 project divides, sorts, sums and walks on Python
+        # floats; its theta and y must equal those of numpy's x / tau, sort,
+        # _prefix_sums and the kernel to the bit
         # on both sides of that cutoff, for every 0 < k < n. At tau = 1 the
-        # grid and the 0.25 plateau tie activations with saturations exactly
+        # grid and the 0.25 plateau tie activations with saturations exactly;
+        # at |u| ~ 1e12 the walk's rounding bound reaches 1 from n = 32 on,
+        # and at |u| ~ 1e17 for every n, so it walks from the first event
+        # instead of from b = k; past 2^53 the sums round by more than 1, and
+        # starting at b = k would miss the first hit. Every k at tau = 1, four
+        # draws at the other temperatures
         rng = np.random.default_rng(86)
-        for n in range(1, 81):
+        for tau, n in itertools.product((1.0, 0.5, 1e-3, 3.0), range(1, 81)):
             g = rng.normal(0, 1, n)
             signed_zeros = g.copy()
             signed_zeros[rng.permutation(n)[:n // 2]] = 0.0
@@ -272,23 +278,83 @@ class TestProject:
             nonpositive[zeros[1::2]] = 0.0
             kinds = {"gaussian": g, "grid": np.round(g * 4.0) / 4.0,
                      "offset": 1e3 + g, "signed-zeros": signed_zeros,
-                     "nonpositive-zeros": nonpositive}
-            for k in range(1, n):
+                     "nonpositive-zeros": nonpositive,
+                     "huge": 1e12 * tau * g, "huge-offset": 1e12 * tau + g,
+                     "beyond-2^53": 1e17 * tau * g,
+                     "offset-beyond-2^53": 1e17 * tau + 20.0 * tau * g}
+            ks = range(1, n) if tau == 1.0 or n < 2 else set(rng.integers(1, n, 4).tolist())
+            for k in ks:
                 for level in (0.25, 1.0 / 3.0):
                     # k entries at level + 1: the clip sum is k on a whole run
                     kinds[f"plateau-{level}"] = np.full(n, level)
                     kinds[f"plateau-{level}"][rng.permutation(n)[:k]] += 1.0
                 for name, x in kinds.items():
-                    spec = HypersimplexSpec(n, k, 1.0)
+                    spec = HypersimplexSpec(n, k, tau)
                     res = project(x, spec)
                     u = x / spec.tau
                     u_sorted = np.sort(u)[::-1]
                     theta = _theta_from_sorted_numpy(
                         u_sorted, _prefix_sums(u_sorted), float(k))
-                    case = (name, n, k)
+                    case = (name, tau, n, k)
                     # bytes, so that 0.0 and -0.0 differ
                     assert np.float64(res.theta).tobytes() == np.float64(theta).tobytes(), case
                     assert res.y.tobytes() == (u - theta).clip(0.0, 1.0).tobytes(), case
+
+
+SCORE_ERRORS = {
+    "nan": "score vector contains NaN or Inf",
+    "length": "score vector has length {m}, spec.n is {n}",
+    "scaled": "x / tau overflows float64; raise tau or rescale x",
+    "sums": "running sums of x / tau overflow float64; raise tau or rescale x",
+    "2-D": "expected a 1-D score vector, got shape (2, {n})",
+    "empty": "score vector must be non-empty",
+}
+
+
+def _bad_scores(n):
+    """(name, x, tau, key of the SCORE_ERRORS message) for inputs project
+    rejects at 0 < k < n."""
+    def with_entries(*pairs):
+        x = np.linspace(-1.0, 1.0, n)
+        for i, v in pairs:
+            x[i] = v
+        return x
+
+    half_max = np.finfo(np.float64).max / 2
+    yield "nan", with_entries((n // 2, np.nan)), 1.0, "nan"
+    yield "+inf", with_entries((n - 1, np.inf)), 1.0, "nan"
+    yield "-inf", with_entries((0, -np.inf)), 1.0, "nan"
+    yield "+inf-and--inf", with_entries((1, np.inf), (2, -np.inf)), 1.0, "nan"
+    yield "nan-ahead-of-overflow", with_entries((0, 1e300), (1, np.nan)), 1e-10, "nan"
+    yield "scaled-overflow", with_entries((3, 1e300)), 1e-10, "scaled"
+    yield "scaled-overflow-negative", with_entries((3, -1e300)), 1e-10, "scaled"
+    yield "running-sums", with_entries((0, half_max), (1, half_max)), 0.5, "sums"
+    yield "nan-and-wrong-length", np.full(n + 1, np.nan), 1.0, "nan"
+    yield "wrong-length", np.zeros(n - 1), 1.0, "length"
+    yield "2-D", np.zeros((2, n)), 1.0, "2-D"
+    yield "empty", np.zeros(0), 1.0, "empty"
+
+
+class TestErrorPrecedence:
+    # project checks the shape up front and the values only once the last
+    # running sum is non-finite; each input must still get the message and
+    # the precedence that _as_score_vector gives it, with no numpy warning
+    @pytest.mark.parametrize("n", [32, 100])  # the list route and the numpy route
+    @pytest.mark.parametrize("k", ["0", "1", "n"])
+    def test_same_message_as_the_up_front_checks(self, n, k):
+        k = {"0": 0, "1": 1, "n": n}[k]
+        for name, x, tau, key in _bad_scores(n):
+            if key == "sums" and k in (0, n):
+                key = None  # the corners read no running sum
+            spec = HypersimplexSpec(n, k, tau)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if key is None:
+                    assert project(x, spec).y.tolist() == [float(k == n)] * n, name
+                    continue
+                with pytest.raises(ValueError) as info:
+                    project(x, spec)
+            assert str(info.value) == SCORE_ERRORS[key].format(n=n, m=x.size), name
 
 
 # at tau = 0.5, EDGE / tau is the largest finite float64 and PAST_EDGE / tau

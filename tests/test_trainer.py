@@ -251,6 +251,24 @@ class TestMlpModel:
                 fd[idx] = (up - down) / (2 * h)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_finite_sees_one_bad_entry(self, name, bad):
+        m = MlpModel.init(7, 4, 3, np.random.default_rng(0))
+        assert m.params_finite()
+        p = getattr(m, name)
+        p[(p.ndim - 1) * (1,) + (2,)] = bad  # inside a 2-D array, not its first row
+        assert not m.params_finite()
+
+    def test_params_finite_accepts_the_largest_magnitudes(self):
+        # entries of +-1e308: their sum overflows, their min and max do not
+        rng = np.random.default_rng(1)
+        m = MlpModel.init(7, 4, 3, rng)
+        for name in ("W1", "b1", "W2", "b2"):
+            p = getattr(m, name)
+            p[...] = rng.choice([-1e308, 1e308], p.shape)
+        assert m.params_finite()
+
 
 class TestLossLayer:
     def test_rejects_unknown_name(self):
