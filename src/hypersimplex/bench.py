@@ -17,6 +17,7 @@ from .backward import jvp
 from .isotonic import _pav_decreasing
 from .projection import (
     HypersimplexSpec,
+    _is_integer,
     _prefix_sums,
     _sort_desc,
     _theta_from_sorted_numpy,
@@ -56,7 +57,7 @@ def bench_projection(sizes, reps, seed=0):
         rows.append(BenchRow("project", n, _median_ns(lambda: project(x, spec), reps)))
         u = x / spec.tau
         rows.append(BenchRow("project_sort", n, _median_ns(lambda: _sort_desc(u), reps)))
-        u_sorted = np.sort(u)[::-1]
+        u_sorted = _sort_desc(u)
         prefix = _prefix_sums(u_sorted)
         k = float(spec.k)
         rows.append(
@@ -102,7 +103,7 @@ def run_bench(sizes=DEFAULT_SIZES, reps=5, seed=0, ops=("project", "jvp")):
         if op not in OPS:
             raise ValueError(f"unknown bench op {op!r}; expected some of {', '.join(OPS)}")
     for n in sizes:
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise ValueError(f"bench sizes must be integers >= 1, got {n!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")

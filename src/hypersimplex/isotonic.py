@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import _as_score_vector, _degenerate, _solve_theta
+from .projection import _as_score_vector, _degenerate, _prefix_sums, _theta_from_sorted_numpy
 
 
 @dataclass
@@ -75,6 +75,7 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
     fitted, _, _ = _pav_decreasing(u)
-    # the fit is nonincreasing, so it goes to the threshold solve unsorted
-    theta = _solve_theta(fitted, float(spec.k))
+    # the fit is nonincreasing, so the numpy kernel solves on it as it
+    # stands, at every n (the walk would give the same bits)
+    theta = _theta_from_sorted_numpy(fitted, _prefix_sums(fitted), float(spec.k))
     return np.clip(fitted - theta, 0.0, 1.0)

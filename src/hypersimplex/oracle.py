@@ -20,7 +20,8 @@ count. The high digits' values are scalars per block, read from the table
 of n - _LOW digits. Nothing is built at import. Each call sums u over
 the interior set of every low-digit pattern once, and each block adds its
 high interior coordinates to those sums in a block-long buffer, so no
-3^n-long array is built.
+3^n-long array is built. Only the block loop scores patterns; the
+certificate keeps the winner's threshold and worst breach from it.
 """
 
 import functools
@@ -126,39 +127,6 @@ def _midpoints(lo, hi):
     return np.where(both, 0.5 * (lo + hi), np.where(lo_finite, lo, hi))
 
 
-def _theta_for_patterns(u, k, digits, m, n_one, s_act):
-    """Best threshold per pattern row; interior coordinates pin it exactly."""
-    theta = np.empty(m.shape[0])
-    has_act = m > 0
-    theta[has_act] = (n_one[has_act] + s_act[has_act] - k) / m[has_act]
-    if not np.all(has_act):
-        rows = digits[~has_act]
-        lo = np.max(np.where(rows == _ZERO, u, -np.inf), axis=1)
-        hi = np.min(np.where(rows == _ONE, u, np.inf), axis=1) - 1.0
-        theta[~has_act] = _midpoints(lo, hi)
-    return theta
-
-
-def _pattern_violations(u, k, theta, digits, n_one):
-    """Per-coordinate optimality breach and sum-constraint gap per pattern row.
-
-    A coordinate's breach is the distance from d = u - theta to its digit's
-    interval [_LO, _HI]; the gap is |sum(y) - k|.
-    """
-    d = u[None, :] - theta[:, None]
-    per_coord = _LO[digits]
-    np.subtract(per_coord, d, out=per_coord)
-    np.maximum(per_coord, 0.0, out=per_coord)
-    over = _HI[digits]
-    np.subtract(d, over, out=over)
-    np.maximum(over, 0.0, out=over)
-    per_coord += over
-    # interior y is d, the rest contribute 0 (d * False is +-0.0, which adds exactly)
-    np.multiply(d, digits == _ACTIVE, out=d)
-    gap = np.abs(n_one + d.sum(axis=1) - k)
-    return per_coord, gap
-
-
 def brute_force_project(x, spec):
     """Projection by exhaustive search over all 3^n boundary patterns.
 
@@ -166,8 +134,9 @@ def brute_force_project(x, spec):
     threshold is solved in closed form and the optimality conditions are
     scored: each pattern's total is its per-coordinate breaches, summed in
     coordinate order, plus its sum-constraint gap. The least total wins,
-    the smallest pattern code on ties, so the result is deterministic; the
-    winner alone is rescored row-wise for the certificate. Refuses
+    the smallest pattern code on ties, so the result is deterministic. The
+    certificate's theta and max_violation are the winner's values from that
+    scoring, and y is built from its digits and theta. Refuses
     n > MAX_ORACLE_N, x / tau whose running sums overflow float64, and
     |x / tau| >= 2^53.
     """
@@ -243,23 +212,14 @@ def brute_force_project(x, spec):
         if total[i] < best_total:
             best_total = float(total[i])
             best_code = start + i
+            best_theta = float(theta[i])
+            # work holds the per-coordinate breaches
+            best_violation = max(float(work[:, i].max()), float(gap[i]))
 
-    code = [best_code // 3**i % 3 for i in range(n)]
-    digits = np.array([code], dtype=np.int8)
-    m, n_one = np.array([code.count(_ACTIVE)]), np.array([code.count(_ONE)])
-    s_best = 0.0
-    for g, v in zip(code, u.tolist()):
-        if g == _ACTIVE:
-            s_best = v + s_best
-    s_best = np.array([s_best])
-    theta = _theta_for_patterns(u, k, digits, m, n_one, s_best)
-    per_coord, gap = _pattern_violations(u, k, theta, digits, n_one)
-    worst = max(float(per_coord.max()), float(gap[0]))
-
-    best = digits[0]
-    y = np.where(best == _ONE, 1.0, 0.0)
-    y[best == _ACTIVE] = u[best == _ACTIVE] - theta[0]
-    return KKTCertificate(y=y, theta=float(theta[0]), max_violation=worst)
+    code = np.array([best_code // 3**i % 3 for i in range(n)])
+    y = np.where(code == _ONE, 1.0, 0.0)
+    y[code == _ACTIVE] = u[code == _ACTIVE] - best_theta
+    return KKTCertificate(y=y, theta=best_theta, max_violation=best_violation)
 
 
 def exhaustive_topk(x, k):

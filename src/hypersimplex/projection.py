@@ -20,9 +20,14 @@ import numpy as np
 BOUNDARY_TOL = 1e-12
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_cardinality(k, n):
     """k as a Python int in [0, n]; bools and non-integers are rejected."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+    if not _is_integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if not 0 <= k <= n:
@@ -54,7 +59,7 @@ class HypersimplexSpec:
     tau: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+        if not _is_integer(self.n):
             raise ValueError(f"n must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
@@ -158,7 +163,7 @@ def _check_running_sums(u):
     """Raise project's ValueError when the running sums of u sorted
     descending overflow float64: the inputs project rejects, for the
     solvers that never form those sums."""
-    _prefix_sums(np.sort(u)[::-1])
+    _prefix_sums(_sort_desc(u))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +300,9 @@ def _theta_at(comp, e, k):
 
 
 # The scalar walk does the arithmetic of the numpy kernel in the same
-# order, so the tests compare the kernel against it. It is also the small-n
-# threshold solve: on the lists of ``ndarray.tolist()`` it skips numpy's
-# fixed cost per call, and on arrays it returns the same value.
+# order and returns the same bits, so the tests compare the kernel against
+# it. It is also project's threshold solve up to _WALK_MAX_N, where on a
+# list of Python floats it skips numpy's fixed cost per call.
 def _theta_from_sorted_py(u_sorted, prefix, k):
     # Two-pointer walk over breakpoints; a = coords pinned at one, [a, b) active.
     n = len(u_sorted)
@@ -349,32 +354,6 @@ def _sort_desc(u):
     return u_sorted[::-1]
 
 
-def _solve_theta(u_sorted, k):
-    """theta with sum(clip(u - theta, 0, 1)) = k, at the first breakpoint
-    of the walk over u_sorted that reaches k.
-
-    u_sorted is nonincreasing: project's sorted list of Python floats,
-    what ``_sort_desc`` returns, or any 1-D float64 array in that order,
-    such as an isotonic fit. Up to _WALK_MAX_N the running sums and the
-    walk run on Python floats, which skips numpy's fixed cost per call;
-    above it numpy sums and the bracketed kernel solves. Both give the
-    same bits: the values and the left-to-right sums are the same, and
-    both solvers return a zero theta as 0.0, whichever signed zero comes
-    first. Raises ValueError if the last running sum is not finite: a
-    running sum overflows, or u_sorted holds NaN or Inf.
-    """
-    if len(u_sorted) <= _WALK_MAX_N:
-        if isinstance(u_sorted, np.ndarray):
-            u_sorted = u_sorted.tolist()
-        prefix = [0.0, *itertools.accumulate(u_sorted)]
-        # inf and NaN propagate, so the last sum is finite iff every
-        # addend and every running sum is
-        if not math.isfinite(prefix[-1]):
-            raise ValueError(_RUNNING_SUM_OVERFLOW)
-        return _theta_from_sorted_py(u_sorted, prefix, k)
-    return _theta_from_sorted_numpy(u_sorted, _prefix_sums(u_sorted), k)
-
-
 def _classify(y, theta, spec):
     at_one = y >= 1.0 - BOUNDARY_TOL
     at_zero = y <= BOUNDARY_TOL
@@ -404,11 +383,11 @@ def project(x, spec):
     computed by sorting the values of x / tau and finding the first
     breakpoint of the piecewise-linear map
     theta -> sum(clip(x_i/tau - theta, 0, 1)) where it reaches k. Up to
-    n = 64 the sort and a scalar walk over the breakpoints run on Python
-    floats; above that a 128-way search brackets it and one vectorised pass
-    over a window of about 128 breakpoints pins it, without building the
-    merged list of all 2n breakpoints. Both give the same theta to the bit.
-    O(n log n) total, dominated by the value sort.
+    n = 64 the sort, running sums and a scalar walk run on Python floats;
+    above it numpy's sort and sums feed a 128-way search that brackets the
+    breakpoint and one vectorised pass over about 128 breakpoints that pins
+    it. That split is the only solver choice, and both give the same theta
+    to the bit. O(n log n) total, dominated by the value sort.
 
     Raises ValueError for a score vector that is not 1-D of length n, holds
     NaN or Inf, or whose x / tau or running sums overflow float64. The
@@ -432,7 +411,12 @@ def project(x, spec):
             if tau != 1.0:
                 u_sorted = [v / tau for v in u_sorted]
             u_sorted.sort(reverse=True)
-            theta = _solve_theta(u_sorted, float(k))
+            prefix = [0.0, *itertools.accumulate(u_sorted)]
+            # inf and NaN propagate, so the last sum is finite iff every
+            # addend and every running sum is
+            if not math.isfinite(prefix[-1]):
+                raise ValueError(_RUNNING_SUM_OVERFLOW)
+            theta = _theta_from_sorted_py(u_sorted, prefix, float(k))
             y = np.subtract(x if tau == 1.0 else x / tau, theta)
         else:
             with np.errstate(over="ignore"):  # reported below
@@ -443,7 +427,7 @@ def project(x, spec):
             # 2-CPU Xeon VM that raised the minor faults per call from
             # ~2,300 to 3,300-4,300
             u_sorted = _sort_desc(u)
-            theta = _solve_theta(u_sorted, float(k))
+            theta = _theta_from_sorted_numpy(u_sorted, _prefix_sums(u_sorted), float(k))
             # u is ours: y goes into its buffer
             y = np.subtract(u, theta, out=u)
     except ValueError:

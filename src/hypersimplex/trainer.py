@@ -26,7 +26,7 @@ from .losses import (
     squared_loss,
     zero_one_loss,
 )
-from .projection import _as_temperature
+from .projection import _as_temperature, _is_integer
 
 CSV_HEADER = "dataset,loss,batch,seed,tau,lr,epochs,best_test_acc,final_train_loss"
 
@@ -427,10 +427,6 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
         best_test_acc=float(best_acc),
         final_train_loss=float(final_train_loss),
     )
-
-
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -160,15 +160,24 @@ class TestBruteForceProject:
 
     def test_matches_plain_enumeration(self):
         # Gaussian scores and 0.25-grid ties (exact boundary hits); every
-        # fourth instance has k = 0 and every fourth k = n. The last 12 have
-        # n = 9: three blocks of 3^8 codes, told apart by the last digit.
+        # fourth instance has k = 0 and every fourth k = n. The next 12 have
+        # n = 9: three blocks of 3^8 codes, told apart by the last digit. The
+        # last 12 have n = 9 and tau = 10, where the winner's sum-constraint
+        # gap, added in any order but coordinate order, misses on some draws.
         rng = np.random.default_rng(32)
+        cases = []
         for i in range(212):
             n = int(rng.integers(1, 7)) if i < 200 else _LOW + 1
             k = (0, n, int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1)))[i % 4]
             tau = float(rng.choice([0.5, 1.0, 2.0]))
             x = rng.normal(0, 2, n) if i % 2 else rng.integers(-8, 9, n) * 0.25
-            spec = HypersimplexSpec(n, k, tau)
+            cases.append((x, HypersimplexSpec(n, k, tau)))
+        rng = np.random.default_rng(34)
+        for _ in range(12):
+            n = _LOW + 1
+            k = int(rng.integers(1, n))
+            cases.append((rng.normal(0, 2, n), HypersimplexSpec(n, k, 10.0)))
+        for x, spec in cases:
             cert = brute_force_project(x, spec)
             y, theta, violation = kkt_enumeration(x, spec)
             np.testing.assert_array_equal(cert.y, y)
