@@ -9,19 +9,19 @@ imported by the fast paths.
 
 The projection oracle scores the patterns coordinate-major, in aligned
 blocks of 3^_LOW consecutive codes: (n, block) work arrays whose row i is
-coordinate i, so every numpy pass runs over a block-long row. Within a
-block the low min(n, _LOW) digits run through the same combinations in
-the same order every time and the high n - _LOW digits stay constant.
-The low digits' table (`_low_block`: the int8 digits, their interior and
-one counts, and float64 rows of each digit's bounds and interior mask)
-depends on the digit count alone, so it is built on the first call for
-each count up to _LOW and kept: 1.3 MB at 8 digits, 1.9 MB for every
-count. The high digits' values are scalars per block, read from the table
-of n - _LOW digits. Nothing is built at import. Each call sums u over
-the interior set of every low-digit pattern once, and each block adds its
-high interior coordinates to those sums in a block-long buffer, so no
-3^n-long array is built. Only the block loop scores patterns; the
-certificate keeps the winner's threshold and worst breach from it.
+coordinate i. The low min(n, _LOW) digits of a block run through the
+same combinations every time, so their table (`_low_block`) is built on
+first use per digit count and kept: 1.3 MB at 8 digits, nothing at
+import. The high digits are scalars per block, read from the table of
+n - _LOW digits. Each call sums u over the interior set of every
+low-digit pattern once, and each block adds its high interior
+coordinates to those sums, so no 3^n-long array is built.
+
+The block loop is an exact branch and bound: after the block of a
+bisected approximate threshold's pattern (`_seed_block`), it scores only
+the columns none of whose breaches, computed as the scorer does, exceeds
+the best total so far, since a sum of non-negative floats is at least
+each term. It tests the high digits first.
 """
 
 import functools
@@ -119,6 +119,18 @@ def _active_sums(u):
     return s
 
 
+def _seed_block(u, k, low):
+    """The block of the pattern at an approximate threshold, found by bisection
+    on sum(clip(u - theta, 0, 1)) = k over the list u. It only picks the
+    block scored first, so it sets the speed, not the certificate."""
+    lo, hi = min(u) - 1.0, max(u)
+    for _ in range(40):
+        theta = 0.5 * (lo + hi)
+        lo, hi = (theta, hi) if sum(min(max(v - theta, 0.0), 1.0) for v in u) > k else (lo, theta)
+    return sum((_ZERO if v <= theta else _ONE if v - theta >= 1.0 else _ACTIVE) * 3**i
+               for i, v in enumerate(u[low:]))
+
+
 def _midpoints(lo, hi):
     # theta of patterns without an interior coordinate: any theta in
     # [lo, hi] = [max_zero u, min_one u - 1] works
@@ -134,9 +146,12 @@ def brute_force_project(x, spec):
     threshold is solved in closed form and the optimality conditions are
     scored: each pattern's total is its per-coordinate breaches, summed in
     coordinate order, plus its sum-constraint gap. The least total wins,
-    the smallest pattern code on ties, so the result is deterministic. The
-    certificate's theta and max_violation are the winner's values from that
-    scoring, and y is built from its digits and theta. Refuses
+    the smallest pattern code on ties, so the result is deterministic. A
+    pattern one of whose breaches exceeds the best total so far cannot
+    win, since its total is at least that breach, so it goes unscored;
+    the block scored first sets only how many do, never the result. The
+    certificate's theta and max_violation are the winner's values from
+    that scoring, and y is built from its digits and theta. Refuses
     n > MAX_ORACLE_N, x / tau whose running sums overflow float64, and
     |x / tau| >= 2^53.
     """
@@ -161,7 +176,7 @@ def brute_force_project(x, spec):
     tab, high_tab = _low_block(low), _low_block(n - low)
     size = tab.m.shape[0]
     s_low = _active_sums(u[:low])
-    u_col, u_high = u[:, None], u[low:].tolist()
+    u_col, u_list = u[:, None], u.tolist()
     # the columns without an interior low digit, and their low digits' share
     # of the midpoint rule's bounds: max u over zero digits, min u over ones
     free = tab.free
@@ -169,23 +184,23 @@ def brute_force_project(x, spec):
     lo_free = np.where(free_digits == _ZERO, u_col[:low], -np.inf).max(axis=0)
     hi_free = np.where(free_digits == _ONE, u_col[:low], np.inf).min(axis=0)
 
-    # row i of the work arrays is coordinate i
-    d, work, s_act = np.empty((n, size)), np.empty((n, size)), np.empty(size)
-    best_total = np.inf
-    best_code = -1
-    for block in range(high_tab.m.shape[0]):
+    # row i of the work arrays is coordinate i; the counts are float64, so
+    # that theta's passes do not convert int8
+    (d, work), (s_act, m, n_one, theta) = np.empty((2, n, size)), np.empty((4, size))
+    best_total, best_code = np.inf, -1
+    seed = _seed_block(u_list, k, low) if n > low else 0
+    for block in itertools.chain((seed,), range(seed), range(seed + 1, 3 ** (n - low))):
         m_high = int(high_tab.m[block])
-        start = block * size
-        m = tab.m + m_high
-        n_one = tab.n_one + int(high_tab.n_one[block])
+        np.add(tab.m, m_high, out=m)
+        np.add(tab.n_one, int(high_tab.n_one[block]), out=n_one)
         # the high interior coordinates come after the low ones, and each
         # adds as _active_sums adds it
-        high = list(zip(high_tab.digits[:, block].tolist(), u_high))
+        high = list(zip(high_tab.digits[:, block].tolist(), u_list[low:]))
         s = s_low
         for g, v in high:
             if g == _ACTIVE:
                 s = np.add(v, s, out=s_act)
-        theta = n_one + s
+        np.add(n_one, s, out=theta)
         theta -= k
         with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 at `free`
             theta /= m
@@ -193,28 +208,53 @@ def brute_force_project(x, spec):
             lo = np.maximum(lo_free, max([v for g, v in high if g == _ZERO], default=-np.inf))
             hi = np.minimum(hi_free, min([v for g, v in high if g == _ONE], default=np.inf)) - 1.0
             theta[free] = _midpoints(lo, hi)
-        np.subtract(u_col, theta, out=d)
+        cols = slice(None)
+        if best_total < np.inf:
+            # a total is at least each of its breaches, and a breach has at most
+            # one nonzero term: keep the columns where no max(lo - d, d - hi)
+            # exceeds best_total, testing the high digits first
+            cols, th = None, theta
+            for i in itertools.chain(range(low, n), range(low)):
+                d_i = u_list[i] - th
+                if i < low:
+                    over = np.maximum(tab.lo[i, cols] - d_i, d_i - tab.hi[i, cols])
+                elif high[i - low][0] == _ACTIVE:
+                    over = np.maximum(0.0 - d_i, d_i - 1.0)
+                else:  # the infinite bound never breaches
+                    over = d_i if high[i - low][0] == _ZERO else 1.0 - d_i
+                keep = np.flatnonzero(over <= best_total)
+                cols, th = keep if cols is None else cols[keep], th[keep]
+                if not cols.size:
+                    break
+            if not cols.size:
+                continue
+            # one column would be summed pairwise, not row after row
+            cols = np.repeat(cols, 1 + (cols.size == 1))
+        th = theta[cols]
+        dv, wv = d[:, :th.size], work[:, :th.size]
+        np.subtract(u_col, th, out=dv)
         # sum(y) - k first: interior y is d, the rest contribute +-0.0
-        np.multiply(d[:low], tab.interior, out=work[:low])
-        np.multiply(d[low:], high_tab.interior[:, block, None], out=work[low:])
-        gap = np.abs(n_one + work.sum(axis=0) - k)
-        np.subtract(tab.lo, d[:low], out=work[:low])
-        np.subtract(high_tab.lo[:, block, None], d[low:], out=work[low:])
-        np.maximum(work, 0.0, out=work)
-        np.subtract(d[:low], tab.hi, out=d[:low])
-        np.subtract(d[low:], high_tab.hi[:, block, None], out=d[low:])
-        np.maximum(d, 0.0, out=d)
-        work += d
+        np.multiply(dv[:low], tab.interior[:, cols], out=wv[:low])
+        np.multiply(dv[low:], high_tab.interior[:, block, None], out=wv[low:])
+        gap = np.abs(n_one[cols] + wv.sum(axis=0) - k)
+        np.subtract(tab.lo[:, cols], dv[:low], out=wv[:low])
+        np.subtract(high_tab.lo[:, block, None], dv[low:], out=wv[low:])
+        np.maximum(wv, 0.0, out=wv)
+        np.subtract(dv[:low], tab.hi[:, cols], out=dv[:low])
+        np.subtract(dv[low:], high_tab.hi[:, block, None], out=dv[low:])
+        np.maximum(dv, 0.0, out=dv)
+        wv += dv
         # a reduction over the leading axis adds row after row: coordinate order
-        total = work.sum(axis=0)
+        total = wv.sum(axis=0)
         total += gap
         i = int(total.argmin())  # first index wins ties within the block
-        if total[i] < best_total:
+        code = block * size + (i if isinstance(cols, slice) else int(cols[i]))
+        if total[i] < best_total or (total[i] == best_total and code < best_code):
             best_total = float(total[i])
-            best_code = start + i
-            best_theta = float(theta[i])
-            # work holds the per-coordinate breaches
-            best_violation = max(float(work[:, i].max()), float(gap[i]))
+            best_code = code
+            best_theta = float(th[i])
+            # wv holds the per-coordinate breaches
+            best_violation = max(float(wv[:, i].max()), float(gap[i]))
 
     code = np.array([best_code // 3**i % 3 for i in range(n)])
     y = np.where(code == _ONE, 1.0, 0.0)

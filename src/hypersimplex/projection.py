@@ -124,10 +124,14 @@ def hard_topk(x, k):
     x = _as_score_vector(x)
     n = x.size
     k = _as_cardinality(k, n)
-    out = np.zeros(n, dtype=np.int64)
-    if k > 0:
-        # stable argsort of -x keeps ascending index order among ties
-        out[np.argsort(-x, kind="stable")[:k]] = 1
+    if k == 0:
+        return np.zeros(n, dtype=np.int64)
+    # every entry above the k-th largest value, then the ties at it in
+    # ascending index order: a stable argsort's pick, in O(n)
+    kth = np.partition(x, n - k)[n - k]
+    above = x > kth
+    out = above.astype(np.int64)
+    out[np.flatnonzero(x == kth)[: k - np.count_nonzero(above)]] = 1
     return out
 
 

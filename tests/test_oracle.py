@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypersimplex import HypersimplexSpec, hard_topk, jvp, project
+from hypersimplex import HypersimplexSpec, hard_topk, jvp, oracle, project
 from hypersimplex.oracle import (
     _LOW,
     MAX_ORACLE_N,
@@ -201,6 +201,45 @@ class TestBruteForceProject:
         np.testing.assert_array_equal(cert.y, y)
         assert (cert.theta, cert.max_violation) == (theta, violation)
 
+    @pytest.mark.parametrize("x, k, tau", [
+        ([-1.0, 1.0, 3.0, 2.0, -1.0, 2.0, -3.0, 1.0, -4.0], 8, 0.5),
+        ([-0.5, 1.75, -0.25, -2.0, 0.0, -1.5, 2.0, -1.75, 0.25], 2, 0.5),
+        ([-4.0, -4.0, -2.0, -1.0, -4.0, -1.0, -4.0, 3.0, 1.0], 1, 1.0),
+        ([-1.5, -1.5, -1.5, -2.0, 0.5, -2.0, -1.25, 0.0, 1.75], 1, 1.0),
+        ([-1.0, 4.0, 0.0, -3.0, -4.0, -1.0, 3.0, 4.0, 4.0, 1.0], 5, 0.5),
+        ([1.5, 2.0, 0.0, -1.5, -1.75, -0.25, 0.0, 0.0, 0.75, 1.0], 4, 0.5),
+        ([-3.0, 1.0, -3.0, 2.0, 3.0, 1.0, 4.0, 2.0, 3.0, -1.0], 8, 1.0),
+        ([-0.25, -1.25, -0.75, -2.0, 1.75, -1.75, 0.0, -0.5, 0.5, -1.75], 1, 1.0),
+    ])
+    def test_tie_with_an_earlier_block_than_the_seed_goes_to_the_smallest_code(self, x, k, tau):
+        # the seed block is scored first, and on these draws a block before
+        # it holds a pattern with the same least total: keeping the first
+        # block scored instead gives another certificate on every one
+        x = np.array(x)
+        spec = HypersimplexSpec(x.size, k, tau)
+        assert oracle._seed_block((x / tau).tolist(), float(k), _LOW) != 0
+        cert = brute_force_project(x, spec)
+        y, theta, violation = kkt_enumeration(x, spec)
+        np.testing.assert_array_equal(cert.y, y)
+        assert (cert.theta, cert.max_violation) == (theta, violation)
+
+    @pytest.mark.parametrize("n, draws", [(_LOW + 1, 6), (_LOW + 2, 4), (MAX_ORACLE_N, 2)])
+    def test_certificate_does_not_depend_on_the_seed_block(self, n, draws, monkeypatch):
+        # pruning is exact whichever block is scored first, a poor one too
+        rng = np.random.default_rng(37 + n)
+        for j in range(draws):
+            x = rng.normal(0, 2, n) if j % 2 == 0 else rng.integers(-8, 9, n) * 0.25
+            spec = HypersimplexSpec(n, int(rng.integers(0, n + 1)),
+                                    float(rng.choice([0.1, 1.0, 10.0])))
+            ref = brute_force_project(x, spec)
+            for block in range(3 ** (n - _LOW)):
+                monkeypatch.setattr(oracle, "_seed_block", lambda u, k, low, b=block: b)
+                cert = brute_force_project(x, spec)
+                assert cert.y.tobytes() == ref.y.tobytes()
+                assert cert.theta.hex() == ref.theta.hex()
+                assert cert.max_violation.hex() == ref.max_violation.hex()
+            monkeypatch.undo()
+
     def test_results_do_not_depend_on_call_order(self):
         rng = np.random.default_rng(33)
         small, large = HypersimplexSpec(3, 1, 1.0), HypersimplexSpec(MAX_ORACLE_N, 5, 1.0)
@@ -247,6 +286,15 @@ class TestExhaustiveTopk:
         for _ in range(300):
             n = int(rng.integers(1, 11))
             x = rng.choice([-1.0, 0.0, 0.5, 1.0], n)
+            for k in range(n + 1):
+                assert np.array_equal(exhaustive_topk(x, k), hard_topk(x, k))
+
+    def test_matches_fast_path_on_signed_zero_ties(self):
+        # -0.0 == 0.0, so both tie at a zero threshold and enter by index
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            n = int(rng.integers(1, 11))
+            x = rng.choice([-1.0, -0.0, 0.0, 1.0], n)
             for k in range(n + 1):
                 assert np.array_equal(exhaustive_topk(x, k), hard_topk(x, k))
 

@@ -67,6 +67,21 @@ class TestHardTopk:
     def test_accepts_numpy_integer_k(self):
         assert hard_topk([3.0, 1.0, 2.0], np.int64(2)).tolist() == [1, 0, 1]
 
+    def test_matches_stable_argsort_on_ties_and_signed_zeros(self):
+        # the formula it replaced: the first k indices of a stable argsort of -x
+        rng = np.random.default_rng(8)
+        cases = [rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], int(rng.integers(1, 40)))
+                 for _ in range(300)]
+        cases += [rng.integers(-3, 4, 5000) * 0.5, np.where(rng.random(5000) < 0.5, -0.0, 0.0)]
+        for x in cases:
+            ks = range(x.size + 1) if x.size < 40 else rng.integers(0, x.size + 1, 20)
+            for k in ks:
+                expected = np.zeros(x.size, dtype=np.int64)
+                expected[np.argsort(-x, kind="stable")[:k]] = 1
+                y = hard_topk(x, k)
+                assert y.dtype == np.int64
+                np.testing.assert_array_equal(y, expected)
+
     def test_always_selects_exactly_k(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
