@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import _center_on_active, loss_grad_from_residual
-from .projection import HypersimplexSpec, _as_temperature, project
+from .projection import HypersimplexSpec, _as_positive, project
 
 
 @dataclass
@@ -136,7 +136,7 @@ class ClassBatch:
         logits, labels, _, _ = _as_scores_labels(self.logits, self.labels)
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "tau", _as_temperature(self.tau))
+        object.__setattr__(self, "tau", _as_positive(self.tau, "tau"))
 
     @classmethod
     def from_labels(cls, logits, labels, tau=1.0):

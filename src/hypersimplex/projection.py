@@ -19,10 +19,19 @@ import numpy as np
 # Coordinates within this distance of 0 or 1 are classified as saturated.
 BOUNDARY_TOL = 1e-12
 
+_DBL_MAX = float(np.finfo(np.float64).max)
+
 
 def _is_integer(value):
     """True for a Python or numpy integer; bools are not integers here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """True for a Python or numpy float, or an int in float64's range; not a bool."""
+    if isinstance(value, (float, np.floating)):
+        return True
+    return _is_integer(value) and -_DBL_MAX <= value <= _DBL_MAX
 
 
 def _as_cardinality(k, n):
@@ -35,12 +44,12 @@ def _as_cardinality(k, n):
     return k
 
 
-def _as_temperature(tau):
-    """tau as a Python float; zero, negative, infinite and NaN are rejected."""
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):  # also rejects NaN
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    return tau
+def _as_positive(value, name):
+    """value as a Python float; anything but a positive finite real number
+    (bools and strings included) is rejected with name in the message."""
+    if not (_is_real(value) and value > 0 and math.isfinite(value)):  # NaN fails both
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,7 @@ class HypersimplexSpec:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         object.__setattr__(self, "k", _as_cardinality(self.k, self.n))
-        object.__setattr__(self, "tau", _as_temperature(self.tau))
+        object.__setattr__(self, "tau", _as_positive(self.tau, "tau"))
 
 
 @dataclass
@@ -142,21 +151,13 @@ def _prefix_sums(v):
     """[0, v_0, v_0 + v_1, ...]: the n + 1 running sums the threshold solve
     reads, accumulated left to right.
 
-    v is sorted, so its ends bound |v|. Raises ValueError if the last
-    running sum is not finite: a running sum overflows float64, or v holds
-    NaN (numpy sorts it to an end) or Inf.
+    Raises ValueError if the last running sum is not finite: a running sum
+    overflows float64, or v holds NaN or Inf.
     """
-    n = v.shape[0]
-    prefix = np.empty(n + 1)
+    prefix = np.empty(v.shape[0] + 1)
     prefix[0] = 0.0
-    # |each running sum| <= n * max|v| up to rounding, so numpy can warn of
-    # an overflow only when that bound (doubled for the rounding) overflows
-    big = max(abs(float(v[0])), abs(float(v[-1])))
-    if math.isfinite(2.0 * n * big):
+    with np.errstate(over="ignore", invalid="ignore"):
         np.add.accumulate(v, out=prefix[1:])  # the ufunc np.cumsum wraps
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.accumulate(v, out=prefix[1:])
     # inf and NaN propagate, so the last sum is finite iff every one is
     if not math.isfinite(prefix[-1]):
         raise ValueError(_RUNNING_SUM_OVERFLOW)

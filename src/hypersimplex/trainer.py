@@ -12,6 +12,7 @@ touches the arithmetic.
 import csv
 import gzip
 import math
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -26,7 +27,7 @@ from .losses import (
     squared_loss,
     zero_one_loss,
 )
-from .projection import _as_temperature, _is_integer
+from .projection import _as_positive, _is_integer, _is_real
 
 CSV_HEADER = "dataset,loss,batch,seed,tau,lr,epochs,best_test_acc,final_train_loss"
 
@@ -295,7 +296,6 @@ def load_fashion_mnist(data_dir, m_train=6000, m_test=1000):
     each optionally with a .gz suffix. Keeps the first m_train training and
     first m_test test examples.
     """
-    import os
 
     def find(stem):
         for suffix in ("", ".gz"):
@@ -453,32 +453,32 @@ class SweepConfig:
     def __post_init__(self):
         if self.dataset not in ("synthetic", "fashion_mnist"):
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        self.losses = tuple(self.losses)
+        if _is_integer(self.seeds):
+            self.seeds = range(self.seeds)
+        for name, what in (("losses", "loss names"), ("batches", "integers"), ("seeds", "integers")):
+            values = getattr(self, name)
+            if isinstance(values, str) or not isinstance(values, (Sequence, np.ndarray)):
+                raise ValueError(f"{name} must be a list of {what}, got {values!r}")
+            setattr(self, name, tuple(values))
         for name in self.losses:
             if name not in LOSS_NAMES:
                 raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
-        if _is_integer(self.seeds):
-            self.seeds = range(self.seeds)
         for name in ("batches", "seeds"):
             values = getattr(self, name)
-            if isinstance(values, str) or not isinstance(values, (Sequence, np.ndarray)):
-                raise ValueError(f"{name} must be a list of integers, got {values!r}")
-            values = tuple(values)
             for value in values:
                 if not _is_integer(value):
                     raise ValueError(f"{name} must be integers, got {value!r}")
             setattr(self, name, tuple(int(v) for v in values))
         if not self.seeds:
             raise ValueError("need at least one seed")
-        self.tau = _as_temperature(self.tau)
-        lr = self.lr
-        if not ((isinstance(lr, (float, np.floating)) or _is_integer(lr))
-                and lr > 0 and math.isfinite(lr)):
-            raise ValueError(f"lr must be positive and finite, got {lr!r}")
+        self.tau = _as_positive(self.tau, "tau")
+        self.lr = _as_positive(self.lr, "lr")
         sep = self.separation
-        if not ((isinstance(sep, (float, np.floating)) or _is_integer(sep))
-                and math.isfinite(sep)):
+        if not (_is_real(sep) and math.isfinite(sep)):
             raise ValueError(f"separation must be a finite number, got {sep!r}")
+        for name in ("data_dir", "out_csv"):
+            if not isinstance(getattr(self, name), (str, os.PathLike)):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         for name, least in (("epochs", 1), ("hidden", 1), ("dims", 1), ("m_train", 1),
                             ("m_test", 1), ("classes", 2), ("data_seed", 0)):
             value = getattr(self, name)

@@ -8,7 +8,6 @@ Checks accept the projection as a parameter so a deliberately corrupted
 solver can be injected to exercise the failure paths.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ from . import oracle
 from .backward import jvp
 from .projection import (
     HypersimplexSpec,
+    _as_positive,
     _classify,
     hard_topk,
     project,
@@ -312,8 +312,7 @@ def run_gradcheck(num=500, seed=0, tol=1e-5):
     """
     if num < 1:
         raise ValueError(f"num must be >= 1, got {num}")
-    if not (tol > 0.0 and math.isfinite(tol)):  # also rejects NaN
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = _as_positive(tol, "tol")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(num):

@@ -324,6 +324,12 @@ class TestSweepCommand:
         ({"separation": True}, "separation must be a finite number, got True"),
         ({"seeds": [0.5, 1.7]}, "seeds must be integers, got 0.5"),
         ({"data_seed": "x"}, "data_seed must be an integer >= 0, got 'x'"),
+        ({"tau": None}, "tau must be positive and finite, got None"),
+        ({"tau": True}, "tau must be positive and finite, got True"),
+        ({"losses": "ce"}, "losses must be a list of loss names, got 'ce'"),
+        ({"losses": None}, "losses must be a list of loss names, got None"),
+        ({"out_csv": None}, "out_csv must be a path string, got None"),
+        ({"data_dir": 2.5}, "data_dir must be a path string, got 2.5"),
     ])
     def test_bad_grid_exits_2_before_any_cell_trains(
             self, capsys, tmp_path, monkeypatch, overrides, message):

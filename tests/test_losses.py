@@ -231,7 +231,7 @@ class TestClassBatch:
         with pytest.raises(ValueError):
             ClassBatch.from_labels(logits, np.array([0, 1]))
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan, True, None, "0.5"])
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError):
             ClassBatch(np.zeros((2, 2)), np.array([0, 1]), tau)

@@ -33,6 +33,9 @@ class TestHypersimplexSpec:
         (3, 1, -1.0),
         (3, 1, float("nan")),
         (3, 1, float("inf")),
+        (3, 1, True),
+        (3, 1, None),
+        (3, 1, "0.5"),
     ])
     def test_rejects_bad_triples(self, n, k, tau):
         with pytest.raises(ValueError):

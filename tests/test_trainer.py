@@ -535,6 +535,24 @@ class TestSweepConfig:
         ("data_seed", -1, "data_seed must be an integer >= 0, got -1"),
         ("data_seed", 1.0, "data_seed must be an integer >= 0, got 1.0"),
         ("data_seed", False, "data_seed must be an integer >= 0, got False"),
+        ("tau", None, "tau must be positive and finite, got None"),
+        ("tau", True, "tau must be positive and finite, got True"),
+        ("tau", "2", "tau must be positive and finite, got '2'"),
+        ("tau", [1], "tau must be positive and finite, got [1]"),
+        # ints beyond float64, which float() and math.isfinite cannot take
+        pytest.param("tau", 2**1024, f"tau must be positive and finite, got {2**1024}",
+                     id="tau-2**1024"),
+        pytest.param("lr", 2**1024, f"lr must be positive and finite, got {2**1024}",
+                     id="lr-2**1024"),
+        pytest.param("separation", -2**1024, f"separation must be a finite number, got {-2**1024}",
+                     id="separation--2**1024"),
+        ("losses", "ce", "losses must be a list of loss names, got 'ce'"),
+        ("losses", None, "losses must be a list of loss names, got None"),
+        ("losses", 5, "losses must be a list of loss names, got 5"),
+        ("out_csv", None, "out_csv must be a path string, got None"),
+        ("out_csv", 2.5, "out_csv must be a path string, got 2.5"),
+        ("data_dir", None, "data_dir must be a path string, got None"),
+        ("data_dir", 2.5, "data_dir must be a path string, got 2.5"),
     ])
     def test_rejects_values_it_would_truncate_or_never_check(self, name, value, message):
         # int() would have run a sweep over batch 32 and seeds 0, 1

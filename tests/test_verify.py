@@ -114,7 +114,7 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="num must be >= 1"):
             run_gradcheck(num=num)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-5, float("inf"), float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-5, float("inf"), float("nan"), True, "1e-5"])
     def test_rejects_tolerance_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             run_gradcheck(num=5, tol=tol)
