@@ -17,7 +17,7 @@ from .backward import jvp
 from .isotonic import _pav_decreasing
 from .projection import (
     HypersimplexSpec,
-    _is_integer,
+    _as_count,
     _prefix_sums,
     _sort_desc,
     _theta_from_sorted_numpy,
@@ -97,16 +97,14 @@ OPS = {"project": bench_projection, "jvp": bench_jvp, "pav": bench_pav}
 
 def run_bench(sizes=DEFAULT_SIZES, reps=5, seed=0, ops=("project", "jvp")):
     """Rows for each op in ops, in OPS order; pav (an interpreted loop) runs
-    only when asked. Unknown ops, sizes that are not integers >= 1 and
-    reps < 1 raise ValueError before anything is timed."""
+    only when asked. Unknown ops, and sizes or reps that are not integers
+    >= 1, raise ValueError before anything is timed."""
     for op in ops:
         if op not in OPS:
             raise ValueError(f"unknown bench op {op!r}; expected some of {', '.join(OPS)}")
     for n in sizes:
-        if not _is_integer(n) or n < 1:
-            raise ValueError(f"bench sizes must be integers >= 1, got {n!r}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+        _as_count(n, "bench size", 1)
+    _as_count(reps, "reps", 1)
     rows = []
     for op, bench_op in OPS.items():
         if op in ops:

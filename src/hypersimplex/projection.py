@@ -52,6 +52,14 @@ def _as_positive(value, name):
     return float(value)
 
 
+def _as_count(value, name, least):
+    """value as a Python int; anything but an integer >= least (bools, floats,
+    strings and None included) is rejected with name in the message."""
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HypersimplexSpec:
     """Dimension n, target cardinality k and temperature tau of a projection.
@@ -68,11 +76,7 @@ class HypersimplexSpec:
     tau: float
 
     def __post_init__(self):
-        if not _is_integer(self.n):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _as_count(self.n, "n", 1))
         object.__setattr__(self, "k", _as_cardinality(self.k, self.n))
         object.__setattr__(self, "tau", _as_positive(self.tau, "tau"))
 

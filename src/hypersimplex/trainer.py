@@ -27,9 +27,7 @@ from .losses import (
     squared_loss,
     zero_one_loss,
 )
-from .projection import _as_positive, _is_integer, _is_real
-
-CSV_HEADER = "dataset,loss,batch,seed,tau,lr,epochs,best_test_acc,final_train_loss"
+from .projection import _as_count, _as_positive, _is_integer, _is_real
 
 LOSS_NAMES = ("ce", "hinge", "mse", "hypersimplex")
 
@@ -50,6 +48,7 @@ class Dataset:
     test_idx: np.ndarray
 
     def __post_init__(self):
+        self.num_classes = _as_count(self.num_classes, "num_classes", 0)
         m = self.features.shape[0]
         if self.labels.shape != (m,):
             raise ValueError(f"labels have shape {self.labels.shape}, expected ({m},)")
@@ -174,16 +173,21 @@ class RunRecord:
         return math.isnan(self.final_train_loss)
 
 
+# The records CSV has one column per RunRecord field, in field order.
+_RECORD_FIELDS = fields(RunRecord)
+
+CSV_HEADER = ",".join(f.name for f in _RECORD_FIELDS)
+
+
 def write_records_csv(records, path):
     """Write records under the fixed header; floats use repr so output is
     byte-stable."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fh.write(
-                f"{r.dataset},{r.loss},{r.batch},{r.seed},{r.tau!r},{r.lr!r},"
-                f"{r.epochs},{r.best_test_acc!r},{r.final_train_loss!r}\n"
-            )
+            values = (getattr(r, f.name) for f in _RECORD_FIELDS)
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in values) + "\n")
 
 
 def read_records_csv(path):
@@ -201,20 +205,11 @@ def read_records_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 9:
-                raise ValueError(f"line {lineno}: expected 9 fields, got {len(row)}")
+            if len(row) != len(_RECORD_FIELDS):
+                raise ValueError(f"line {lineno}: expected {len(_RECORD_FIELDS)} fields, "
+                                 f"got {len(row)}")
             try:
-                rec = RunRecord(
-                    dataset=row[0],
-                    loss=row[1],
-                    batch=int(row[2]),
-                    seed=int(row[3]),
-                    tau=float(row[4]),
-                    lr=float(row[5]),
-                    epochs=int(row[6]),
-                    best_test_acc=float(row[7]),
-                    final_train_loss=float(row[8]),
-                )
+                rec = RunRecord(*(f.type(v) for f, v in zip(_RECORD_FIELDS, row)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             records.append(rec)
@@ -262,17 +257,17 @@ def load_idx(images_path, labels_path, limit=None, num_classes=None, name="idx")
 
     Pixels are scaled to [0, 1] and flattened; limit keeps the first
     `limit` examples, a deterministic slice. Gzipped files are detected by
-    signature.
+    signature. limit is None or an integer >= 0.
     """
+    if limit is not None:
+        limit = _as_count(limit, "limit", 0)
     images = _read_idx(images_path, 0x00000803, 3)
     labels = _read_idx(labels_path, 0x00000801, 1)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"
         )
-    if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit]
+    images, labels = images[:limit], labels[:limit]
     m = images.shape[0]
     features = images.reshape(m, -1).astype(np.float64) / 255.0
     labels = labels.astype(np.int64)
@@ -326,16 +321,17 @@ def make_synthetic(num_classes, m, d, separation, seed, m_train=None):
     """Gaussian blobs: class means at separation * random unit directions,
     unit covariance; deterministic per seed. The first m_train examples
     (default 80%) form the train split."""
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
-    rng = np.random.default_rng(seed)
+    num_classes = _as_count(num_classes, "num_classes", 2)
+    m = _as_count(m, "m", 1)
+    d = _as_count(d, "d", 1)
+    rng = np.random.default_rng(_as_count(seed, "seed", 0))
     dirs = rng.standard_normal((num_classes, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = rng.integers(0, num_classes, size=m)
     features = separation * dirs[labels] + rng.standard_normal((m, d))
     if m_train is None:
         m_train = int(0.8 * m)
-    if not 0 < m_train <= m:
+    if not (_is_integer(m_train) and 0 < m_train <= m):
         raise ValueError(f"m_train must lie in (0, {m}], got {m_train}")
     return Dataset(
         name="synthetic",
@@ -367,8 +363,11 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     """
     if loss_name not in LOSS_NAMES:
         raise ValueError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
-    if not 1 <= batch_size <= dataset.m_train:
+    if not (_is_integer(batch_size) and 1 <= batch_size <= dataset.m_train):
         raise ValueError(f"batch_size must lie in [1, {dataset.m_train}], got {batch_size}")
+    seed = _as_count(seed, "seed", 0)
+    epochs = _as_count(epochs, "epochs", 0)
+    hidden = _as_count(hidden, "hidden", 1)
     if dataset.m_test < 1:
         raise ValueError("dataset has an empty test split")
     rng = np.random.default_rng(seed)
@@ -420,10 +419,10 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
         dataset=dataset.name,
         loss=loss_name,
         batch=int(batch_size),
-        seed=int(seed),
+        seed=seed,
         tau=float(tau),
         lr=float(lr),
-        epochs=int(epochs),
+        epochs=epochs,
         best_test_acc=float(best_acc),
         final_train_loss=float(final_train_loss),
     )
@@ -463,12 +462,11 @@ class SweepConfig:
         for name in self.losses:
             if name not in LOSS_NAMES:
                 raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
-        for name in ("batches", "seeds"):
-            values = getattr(self, name)
-            for value in values:
-                if not _is_integer(value):
-                    raise ValueError(f"{name} must be integers, got {value!r}")
-            setattr(self, name, tuple(int(v) for v in values))
+        for value in self.batches:
+            if not _is_integer(value):
+                raise ValueError(f"batches must be integers, got {value!r}")
+        self.batches = tuple(int(v) for v in self.batches)
+        self.seeds = tuple(_as_count(v, "seeds", 0) for v in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.tau = _as_positive(self.tau, "tau")
@@ -481,9 +479,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         for name, least in (("epochs", 1), ("hidden", 1), ("dims", 1), ("m_train", 1),
                             ("m_test", 1), ("classes", 2), ("data_seed", 0)):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, _as_count(getattr(self, name), name, least))
 
     @classmethod
     def from_dict(cls, d):

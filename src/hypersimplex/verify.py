@@ -16,8 +16,10 @@ from . import oracle
 from .backward import jvp
 from .projection import (
     HypersimplexSpec,
+    _as_count,
     _as_positive,
     _classify,
+    _is_integer,
     hard_topk,
     project,
     project_bisect,
@@ -40,6 +42,16 @@ def corrupted_project(x, spec):
     return _classify(np.clip(u - theta, 0.0, 1.0), theta, spec)
 
 
+def _draws(num, seed):
+    """Yield one generator seeded with seed, num times. num must be an
+    integer >= 1, so that no check passes without checking anything, and
+    seed an integer >= 0; both are checked before the first draw."""
+    num = _as_count(num, "num", 1)
+    rng = np.random.default_rng(_as_count(seed, "seed", 0))
+    for _ in range(num):
+        yield rng
+
+
 def _random_spec(rng, n, taus):
     k = int(rng.integers(0, n + 1))
     tau = float(taus[rng.integers(0, len(taus))])
@@ -52,13 +64,12 @@ def _random_x(rng, n, scale=3.0):
 
 def check_oracle_agreement(num=1000, seed=0, n_max=12, project_fn=project):
     """Fast solver vs 3^n KKT enumeration on random instances, n in [2, n_max]."""
-    if not 2 <= n_max <= oracle.MAX_ORACLE_N:
+    if not (_is_integer(n_max) and 2 <= n_max <= oracle.MAX_ORACLE_N):
         raise ValueError(f"n_max must be in [2, {oracle.MAX_ORACLE_N}]: oracle comparisons "
                          f"are capped at n = {oracle.MAX_ORACLE_N}, got {n_max}")
-    rng = np.random.default_rng(seed)
     worst_y = 0.0
     worst_theta = 0.0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, n_max + 1))
         spec = _random_spec(rng, n, (0.1, 1.0, 10.0))
         x = _random_x(rng, n)
@@ -76,10 +87,9 @@ def check_oracle_agreement(num=1000, seed=0, n_max=12, project_fn=project):
 
 def check_feasibility(num=10000, seed=1, project_fn=project):
     """sum(y) = k within 1e-9 and y inside [0, 1] exactly."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     box_ok = True
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 257))
         spec = _random_spec(rng, n, (0.1, 0.5, 1.0, 2.0, 10.0))
         y = project_fn(_random_x(rng, n), spec).y
@@ -94,9 +104,8 @@ def check_feasibility(num=10000, seed=1, project_fn=project):
 
 def check_order_preservation(num=10000, seed=2, project_fn=project):
     """x_i >= x_j implies y_i >= y_j, checked over all pairs."""
-    rng = np.random.default_rng(seed)
     inversions = 0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 17))
         spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
         x = _random_x(rng, n)
@@ -111,9 +120,8 @@ def check_order_preservation(num=10000, seed=2, project_fn=project):
 
 def check_translation_invariance(num=2000, seed=3, project_fn=project):
     """Adding c to every score leaves y unchanged (theta absorbs c/tau)."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 65))
         spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
         x = _random_x(rng, n)
@@ -129,10 +137,9 @@ def check_translation_invariance(num=2000, seed=3, project_fn=project):
 
 def check_lipschitz(num=10000, seed=4, project_fn=project):
     """||F(x) - F(z)|| <= ||x - z|| / tau on random pairs."""
-    rng = np.random.default_rng(seed)
     violations = 0
     worst = -np.inf
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 33))
         spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
         x = _random_x(rng, n)
@@ -151,9 +158,8 @@ def check_lipschitz(num=10000, seed=4, project_fn=project):
 
 def check_solver_agreement(num=10000, seed=5, project_fn=project):
     """Breakpoint-scan solver vs the independent bisection solver."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 33))
         spec = _random_spec(rng, n, (0.1, 1.0, 10.0))
         x = _random_x(rng, n)
@@ -168,9 +174,8 @@ def check_solver_agreement(num=10000, seed=5, project_fn=project):
 
 def check_permutation_equivariance(num=2000, seed=6, project_fn=project):
     """project(P x).y equals P project(x).y."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 65))
         spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
         x = _random_x(rng, n)
@@ -190,9 +195,8 @@ def check_idempotence(num=2000, seed=7, project_fn=project):
     Feasible points are sampled as vertex/uniform mixtures, which stay
     inside the polytope by convexity and do not consult the solver.
     """
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 65))
         k = int(rng.integers(0, n + 1))
         vertex = np.zeros(n)
@@ -209,9 +213,8 @@ def check_idempotence(num=2000, seed=7, project_fn=project):
 
 def check_hard_limit(num=2000, seed=8, project_fn=project):
     """At tau far below the smallest score gap, y rounds to hard_topk."""
-    rng = np.random.default_rng(seed)
     failures = 0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 33))
         k = int(rng.integers(0, n + 1))
         x = _random_x(rng, n)
@@ -230,9 +233,8 @@ def check_hard_limit(num=2000, seed=8, project_fn=project):
 
 def check_result_consistency(num=2000, seed=9, project_fn=project):
     """Partition and clip-form invariants of the returned result object."""
-    rng = np.random.default_rng(seed)
     bad = 0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         n = int(rng.integers(2, 65))
         spec = _random_spec(rng, n, (0.1, 1.0, 10.0))
         x = _random_x(rng, n)
@@ -259,13 +261,13 @@ def run_verify(num_oracle=1000, num_vectors=10000, num_aux=2000, seed=0,
 
     Seeds are offset per check so the suites draw independent streams but
     stay reproducible from the single given seed. Every instance count must
-    be at least 1, so that no check passes without checking anything.
+    be an integer >= 1, so that no check passes without checking anything,
+    and seed an integer >= 0; all are checked before any check runs.
     """
     for name, count in (("num_oracle", num_oracle), ("num_vectors", num_vectors),
                         ("num_aux", num_aux)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
-    s = int(seed)
+        _as_count(count, name, 1)
+    s = _as_count(seed, "seed", 0)
     return [
         check_oracle_agreement(num_oracle, s, n_max, project_fn=project_fn),
         check_feasibility(num_vectors, s + 1, project_fn=project_fn),
@@ -310,12 +312,9 @@ def run_gradcheck(num=500, seed=0, tol=1e-5):
     whose Jacobian carries a 1/tau factor relative to the analytic jvp.
     num must be at least 1 and tol positive and finite.
     """
-    if num < 1:
-        raise ValueError(f"num must be >= 1, got {num}")
     tol = _as_positive(tol, "tol")
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(num):
+    for rng in _draws(num, seed):
         while True:
             n = int(rng.integers(4, 33))
             k = int(rng.integers(1, n))

@@ -216,7 +216,7 @@ class TestBenchCommand:
     def test_zero_reps_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--sizes", "512", "--reps", "0")
         assert code == 2
-        assert "reps must be >= 1" in err
+        assert "reps must be an integer >= 1, got 0" in err
         assert out == ""
 
     def test_bad_size_exits_2_before_timing(self, capsys):
@@ -224,15 +224,22 @@ class TestBenchCommand:
         code, out, err = run_cli(capsys, "bench", "--sizes", "3,-4", "--reps", "1")
         assert code == 2
         assert out == ""
-        assert err == "error: bench sizes must be integers >= 1, got -4\n"
+        assert err == "error: bench size must be an integer >= 1, got -4\n"
 
     @pytest.mark.parametrize("size", [0, -4, 2.5, True])
     def test_run_bench_rejects_bad_size(self, size):
-        with pytest.raises(ValueError, match="bench sizes must be integers >= 1"):
+        with pytest.raises(ValueError, match="bench size must be an integer >= 1"):
             run_bench(sizes=(3, size), reps=1)
 
+    @pytest.mark.parametrize("reps", [0, True, 2.5])
+    def test_run_bench_rejects_bad_reps(self, reps):
+        with pytest.raises(ValueError) as exc:
+            run_bench(sizes=(8,), reps=reps)
+        assert str(exc.value) == f"reps must be an integer >= 1, got {reps!r}"
+
     def test_run_bench_times_the_small_n_solve(self):
-        # sizes at or below the walk cutoff time the solve project runs there
+        # at n <= 64 project runs the scalar walk, but project_theta_solve
+        # still times the numpy kernel there
         rows = run_bench(sizes=(32, 64), reps=1, ops=("project",))
         assert [(r.op, r.n) for r in rows] == [
             (op, n) for n in (32, 64)
@@ -322,7 +329,7 @@ class TestSweepCommand:
         ({"separation": math.nan}, "separation must be a finite number, got nan"),
         ({"separation": math.inf}, "separation must be a finite number, got inf"),
         ({"separation": True}, "separation must be a finite number, got True"),
-        ({"seeds": [0.5, 1.7]}, "seeds must be integers, got 0.5"),
+        ({"seeds": [0.5, 1.7]}, "seeds must be an integer >= 0, got 0.5"),
         ({"data_seed": "x"}, "data_seed must be an integer >= 0, got 'x'"),
         ({"tau": None}, "tau must be positive and finite, got None"),
         ({"tau": True}, "tau must be positive and finite, got True"),
@@ -330,6 +337,7 @@ class TestSweepCommand:
         ({"losses": None}, "losses must be a list of loss names, got None"),
         ({"out_csv": None}, "out_csv must be a path string, got None"),
         ({"data_dir": 2.5}, "data_dir must be a path string, got 2.5"),
+        ({"seeds": [0, -1]}, "seeds must be an integer >= 0, got -1"),
     ])
     def test_bad_grid_exits_2_before_any_cell_trains(
             self, capsys, tmp_path, monkeypatch, overrides, message):

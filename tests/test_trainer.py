@@ -78,6 +78,13 @@ class TestLoadIdx:
         assert ds.features.shape == (2, 6)
         np.testing.assert_array_equal(ds.labels, labels[:2])
 
+    @pytest.mark.parametrize("limit", [-1, 2.5, True, "2"])
+    def test_rejects_limit_that_is_not_a_count(self, idx_pair, limit):
+        img_path, lab_path, _, _ = idx_pair
+        with pytest.raises(ValueError) as exc:
+            load_idx(img_path, lab_path, limit=limit)
+        assert str(exc.value) == f"limit must be an integer >= 0, got {limit!r}"
+
     def test_explicit_num_classes(self, idx_pair):
         img_path, lab_path, _, _ = idx_pair
         assert load_idx(img_path, lab_path, num_classes=10).num_classes == 10
@@ -171,6 +178,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels must lie"):
             Dataset(**kwargs, train_idx=np.arange(3), test_idx=np.array([3]))
 
+    @pytest.mark.parametrize("num_classes", [2.5, True, "3", -1])
+    def test_rejects_num_classes_that_is_not_a_count(self, num_classes):
+        kwargs = {**self.base_kwargs(), "num_classes": num_classes}
+        with pytest.raises(ValueError) as exc:
+            Dataset(**kwargs, train_idx=np.arange(3), test_idx=np.array([3]))
+        assert str(exc.value) == f"num_classes must be an integer >= 0, got {num_classes!r}"
+
 
 class TestMakeSynthetic:
     def test_deterministic_per_seed(self):
@@ -194,10 +208,23 @@ class TestMakeSynthetic:
             make_synthetic(3, 100, 5, 2.0, seed=0, m_train=0)
         with pytest.raises(ValueError, match="m_train"):
             make_synthetic(3, 100, 5, 2.0, seed=0, m_train=101)
+        with pytest.raises(ValueError, match="m_train"):
+            make_synthetic(3, 100, 5, 2.0, seed=0, m_train=50.5)
 
     def test_rejects_single_class(self):
-        with pytest.raises(ValueError, match="at least 2 classes"):
+        with pytest.raises(ValueError, match="num_classes must be an integer >= 2, got 1"):
             make_synthetic(1, 100, 5, 2.0, seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 100, 5, 2.0, 0), "num_classes must be an integer >= 2, got 2.5"),
+        ((3, True, 5, 2.0, 0), "m must be an integer >= 1, got True"),
+        ((3, 100, 0, 2.0, 0), "d must be an integer >= 1, got 0"),
+        ((3, 100, 5, 2.0, -1), "seed must be an integer >= 0, got -1"),
+    ])
+    def test_rejects_sizes_that_are_not_counts(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            make_synthetic(*args)
+        assert str(exc.value) == message
 
     def centroid_accuracy(self, ds):
         Xtr, ytr = ds.features[ds.train_idx], ds.labels[ds.train_idx]
@@ -391,6 +418,21 @@ class TestTrainOne:
             train_one(0, sanity_dataset, "ce", 0, 1.0, 0.1, 1)
         with pytest.raises(ValueError, match="batch_size"):
             train_one(0, sanity_dataset, "ce", sanity_dataset.m_train + 1, 1.0, 0.1, 1)
+        for batch_size in (True, 2.5):
+            with pytest.raises(ValueError, match="batch_size must lie in"):
+                train_one(0, sanity_dataset, "ce", batch_size, 1.0, 0.1, 1)
+
+    @pytest.mark.parametrize("seed, epochs, hidden, message", [
+        (0, -1, 32, "epochs must be an integer >= 0, got -1"),
+        (0, 1.5, 32, "epochs must be an integer >= 0, got 1.5"),
+        (0, 1, 0, "hidden must be an integer >= 1, got 0"),
+        (-1, 1, 32, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_rejects_counts_before_training(self, sanity_dataset, seed, epochs, hidden,
+                                            message):
+        with pytest.raises(ValueError) as exc:
+            train_one(seed, sanity_dataset, "ce", 32, 1.0, 0.1, epochs, hidden=hidden)
+        assert str(exc.value) == message
 
     def test_rejects_empty_test_split(self):
         ds = make_synthetic(3, 100, 5, 2.0, seed=0, m_train=100)
@@ -530,7 +572,7 @@ class TestSweepConfig:
         ("separation", -math.inf, "separation must be a finite number, got -inf"),
         ("separation", True, "separation must be a finite number, got True"),
         ("separation", None, "separation must be a finite number, got None"),
-        ("seeds", [0.5, 1.7], "seeds must be integers, got 0.5"),
+        ("seeds", [0.5, 1.7], "seeds must be an integer >= 0, got 0.5"),
         ("data_seed", "x", "data_seed must be an integer >= 0, got 'x'"),
         ("data_seed", -1, "data_seed must be an integer >= 0, got -1"),
         ("data_seed", 1.0, "data_seed must be an integer >= 0, got 1.0"),
@@ -553,6 +595,7 @@ class TestSweepConfig:
         ("out_csv", 2.5, "out_csv must be a path string, got 2.5"),
         ("data_dir", None, "data_dir must be a path string, got None"),
         ("data_dir", 2.5, "data_dir must be a path string, got 2.5"),
+        ("seeds", [0, -1], "seeds must be an integer >= 0, got -1"),
     ])
     def test_rejects_values_it_would_truncate_or_never_check(self, name, value, message):
         # int() would have run a sweep over batch 32 and seeds 0, 1

@@ -60,6 +60,27 @@ class TestIndividualChecks:
         b = check_feasibility(num=100, seed=42)
         assert a == b
 
+    @pytest.mark.parametrize("check", [
+        check_oracle_agreement, check_feasibility, check_order_preservation,
+        check_translation_invariance, check_lipschitz, check_solver_agreement,
+        check_permutation_equivariance, check_idempotence, check_hard_limit,
+        check_result_consistency,
+    ])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num": 0}, "num must be an integer >= 1, got 0"),
+        ({"num": -3}, "num must be an integer >= 1, got -3"),
+        ({"num": True}, "num must be an integer >= 1, got True"),
+        ({"num": 2.5}, "num must be an integer >= 1, got 2.5"),
+        ({"num": 5, "seed": -1}, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_rejects_counts_before_drawing(self, check, kwargs, message):
+        def project_fn(x, spec):
+            raise AssertionError("an instance was drawn")
+
+        with pytest.raises(ValueError) as exc:
+            check(project_fn=project_fn, **kwargs)
+        assert str(exc.value) == message
+
 
 class TestRunVerify:
     def test_returns_every_check_in_order(self):
@@ -79,16 +100,23 @@ class TestRunVerify:
         res = check_oracle_agreement(num=20, seed=0, n_max=5)
         assert res.passed
 
-    @pytest.mark.parametrize("n_max", [-1, 0, 1, 13])
+    @pytest.mark.parametrize("n_max", [-1, 0, 1, 13, 5.5])
     def test_oracle_check_rejects_n_max_outside_its_range(self, n_max):
         with pytest.raises(ValueError, match="capped at n = 12"):
             check_oracle_agreement(num=5, seed=0, n_max=n_max)
 
-    @pytest.mark.parametrize("counts", [(0, 10, 10), (10, 0, 10), (10, 10, 0), (10, 10, -1)])
+    @pytest.mark.parametrize("counts", [(0, 10, 10), (10, 0, 10), (10, 10, 0), (10, 10, -1),
+                                        (True, 10, 10)])
     def test_rejects_instance_counts_below_one(self, counts):
         num_oracle, num_vectors, num_aux = counts
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
             run_verify(num_oracle=num_oracle, num_vectors=num_vectors, num_aux=num_aux)
+
+    @pytest.mark.parametrize("seed", ["3", 2.7, -1])
+    def test_rejects_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(ValueError) as exc:
+            run_verify(num_oracle=10, num_vectors=10, num_aux=10, seed=seed)
+        assert str(exc.value) == f"seed must be an integer >= 0, got {seed!r}"
 
 
 class TestGradcheck:
@@ -109,9 +137,9 @@ class TestGradcheck:
         b = run_gradcheck(num=15, seed=3)
         assert a.worst_rel_err == b.worst_rel_err
 
-    @pytest.mark.parametrize("num", [0, -1])
+    @pytest.mark.parametrize("num", [0, -1, True, 2.5, "3"])
     def test_rejects_num_below_one(self, num):
-        with pytest.raises(ValueError, match="num must be >= 1"):
+        with pytest.raises(ValueError, match="num must be an integer >= 1"):
             run_gradcheck(num=num)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-5, float("inf"), float("nan"), True, "1e-5"])
