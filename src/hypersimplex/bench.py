@@ -36,6 +36,14 @@ class BenchRow:
     median_ns: int
 
 
+def _check_sizes_and_reps(sizes, reps):
+    """Raise ValueError, before anything is timed, unless every size and reps
+    are integers >= 1."""
+    for n in sizes:
+        _as_count(n, "bench size", 1)
+    _as_count(reps, "reps", 1)
+
+
 def _median_ns(fn, reps):
     times = []
     for _ in range(reps):
@@ -48,6 +56,7 @@ def _median_ns(fn, reps):
 def bench_projection(sizes, reps, seed=0):
     """Rows for the full projection and for the sort (``_sort_desc``) and
     theta solve of its numpy route, the one project takes above n = 64."""
+    _check_sizes_and_reps(sizes, reps)
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
@@ -69,6 +78,7 @@ def bench_projection(sizes, reps, seed=0):
 
 def bench_jvp(sizes, reps, seed=0):
     """Rows for the backward path (centering on the active set)."""
+    _check_sizes_and_reps(sizes, reps)
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
@@ -82,6 +92,7 @@ def bench_jvp(sizes, reps, seed=0):
 
 def bench_pav(sizes, reps, seed=0):
     """Rows for isotonic regression on random (worst-case pooling) input."""
+    _check_sizes_and_reps(sizes, reps)
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
@@ -102,9 +113,7 @@ def run_bench(sizes=DEFAULT_SIZES, reps=5, seed=0, ops=("project", "jvp")):
     for op in ops:
         if op not in OPS:
             raise ValueError(f"unknown bench op {op!r}; expected some of {', '.join(OPS)}")
-    for n in sizes:
-        _as_count(n, "bench size", 1)
-    _as_count(reps, "reps", 1)
+    _check_sizes_and_reps(sizes, reps)
     rows = []
     for op, bench_op in OPS.items():
         if op in ops:

@@ -17,11 +17,17 @@ n - _LOW digits. Each call sums u over the interior set of every
 low-digit pattern once, and each block adds its high interior
 coordinates to those sums, so no 3^n-long array is built.
 
-The block loop is an exact branch and bound: after the block of a
-bisected approximate threshold's pattern (`_seed_block`), it scores only
-the columns none of whose breaches, computed as the scorer does, exceeds
-the best total so far, since a sum of non-negative floats is at least
-each term. It tests the high digits first.
+The block loop is an exact branch and bound. It scores in full the block
+of a bisected approximate threshold's pattern (`_seed_block`), then filters
+by intervals. A pattern can beat or tie the best total B so far only if
+each of its breaches is at most B, since a sum of non-negative floats is at
+least each term; so only if its theta lies within B of its free interval,
+the thetas at which none of its digits breaches (`_free_intervals`, per
+call for the low digits and for every block's high digits). A block whose
+high digits alone leave no such theta is skipped before its theta is
+computed; in the others only the columns whose theta passes are scored. A
+rounding slack widens every interval, so the filter keeps every pattern
+that can win and the certificate is the full enumeration's.
 """
 
 import functools
@@ -126,14 +132,27 @@ def _seed_block(u, k, low):
     lo, hi = min(u) - 1.0, max(u)
     for _ in range(40):
         theta = 0.5 * (lo + hi)
-        lo, hi = (theta, hi) if sum(min(max(v - theta, 0.0), 1.0) for v in u) > k else (lo, theta)
+        # the clip as comparisons: no builtin call per term
+        clipped = [0.0 if v <= theta else 1.0 if v - theta >= 1.0 else v - theta for v in u]
+        lo, hi = (theta, hi) if sum(clipped) > k else (lo, theta)
     return sum((_ZERO if v <= theta else _ONE if v - theta >= 1.0 else _ACTIVE) * 3**i
                for i, v in enumerate(u[low:]))
 
 
+def _free_intervals(u):
+    """The theta interval in which no digit breaches, for every pattern of
+    the coordinates u in code order: d = u - theta must be <= 0 at a zero,
+    in [0, 1] at an interior digit and >= 1 at a one."""
+    lo, hi = np.array([-np.inf]), np.array([np.inf])
+    for ui in u.tolist():
+        lo = np.concatenate((np.maximum(lo, ui), np.maximum(lo, ui - 1.0), lo))
+        hi = np.concatenate((hi, np.minimum(hi, ui), np.minimum(hi, ui - 1.0)))
+    return lo, hi
+
+
 def _midpoints(lo, hi):
-    # theta of patterns without an interior coordinate: any theta in
-    # [lo, hi] = [max_zero u, min_one u - 1] works
+    # theta of patterns without an interior coordinate: any theta in their
+    # free interval [lo, hi] = [max_zero u, min_one u - 1] works
     lo_finite = np.isfinite(lo)
     both = lo_finite & np.isfinite(hi)
     return np.where(both, 0.5 * (lo + hi), np.where(lo_finite, lo, hi))
@@ -148,12 +167,15 @@ def brute_force_project(x, spec):
     coordinate order, plus its sum-constraint gap. The least total wins,
     the smallest pattern code on ties, so the result is deterministic. A
     pattern one of whose breaches exceeds the best total so far cannot
-    win, since its total is at least that breach, so it goes unscored;
-    the block scored first sets only how many do, never the result. The
-    certificate's theta and max_violation are the winner's values from
-    that scoring, and y is built from its digits and theta. Refuses
-    n > MAX_ORACLE_N, x / tau whose running sums overflow float64, and
-    |x / tau| >= 2^53.
+    win, since its total is at least that breach. So after the first
+    block only the patterns whose theta lies within the best total, plus
+    a rounding slack, of their free interval are scored, and blocks whose
+    high digits leave no such theta are skipped; the filter keeps every
+    pattern that can win, so the block scored first sets only how many
+    are scored, never the result. The certificate's theta and
+    max_violation are the winner's values from that scoring, and y is
+    built from its digits and theta. Refuses n > MAX_ORACLE_N, x / tau
+    whose running sums overflow float64, and |x / tau| >= 2^53.
     """
     if not isinstance(spec, HypersimplexSpec):
         raise TypeError("spec must be a HypersimplexSpec")
@@ -168,7 +190,8 @@ def brute_force_project(x, spec):
     _check_running_sums(u)
     # from 2^53 on, u - 1 rounds to u, so patterns tie and the least
     # violating one can be wrong
-    if float(np.max(np.abs(u))) >= 2.0**53:
+    u_max = float(np.max(np.abs(u)))
+    if u_max >= 2.0**53:
         raise ValueError("the oracle needs |x / tau| < 2^53, where u - 1 != u")
     k = float(spec.k)
     n = spec.n
@@ -177,12 +200,8 @@ def brute_force_project(x, spec):
     size = tab.m.shape[0]
     s_low = _active_sums(u[:low])
     u_col, u_list = u[:, None], u.tolist()
-    # the columns without an interior low digit, and their low digits' share
-    # of the midpoint rule's bounds: max u over zero digits, min u over ones
-    free = tab.free
-    free_digits = tab.digits[:, free]
-    lo_free = np.where(free_digits == _ZERO, u_col[:low], -np.inf).max(axis=0)
-    hi_free = np.where(free_digits == _ONE, u_col[:low], np.inf).min(axis=0)
+    # the free intervals of the low digits' columns and of the blocks' high digits
+    (lo_low, hi_low), (lo_high, hi_high) = _free_intervals(u[:low]), _free_intervals(u[low:])
 
     # row i of the work arrays is coordinate i; the counts are float64, so
     # that theta's passes do not convert int8
@@ -190,42 +209,38 @@ def brute_force_project(x, spec):
     best_total, best_code = np.inf, -1
     seed = _seed_block(u_list, k, low) if n > low else 0
     for block in itertools.chain((seed,), range(seed), range(seed + 1, 3 ** (n - low))):
+        # A pattern that can still win has every breach at most the best
+        # total B (its total, a sum of non-negative floats, is at least each
+        # term), so its theta lies within B of its free interval. Near the
+        # interval's ends |theta| <= max|u| + B + 1, and there the rounding
+        # of d = u - theta, 1 - d, d - 1, u - 1 and of the widened bounds
+        # errs by a few ulps of max|u| + B + 2; the slack adds 2^12 such
+        # ulps to B. While B is infinite (the seed block, scored first)
+        # nothing is filtered.
+        slack = best_total + 2.0**-40 * (u_max + best_total + 2.0)
+        lo_b, hi_b = lo_high[block] - slack, hi_high[block] + slack
+        if lo_b > hi_b:  # the high digits alone leave no theta
+            continue
         m_high = int(high_tab.m[block])
         np.add(tab.m, m_high, out=m)
         np.add(tab.n_one, int(high_tab.n_one[block]), out=n_one)
         # the high interior coordinates come after the low ones, and each
         # adds as _active_sums adds it
-        high = list(zip(high_tab.digits[:, block].tolist(), u_list[low:]))
         s = s_low
-        for g, v in high:
+        for g, v in zip(high_tab.digits[:, block].tolist(), u_list[low:]):
             if g == _ACTIVE:
                 s = np.add(v, s, out=s_act)
         np.add(n_one, s, out=theta)
         theta -= k
-        with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 at `free`
+        with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 at `tab.free`
             theta /= m
         if m_high == 0:
-            lo = np.maximum(lo_free, max([v for g, v in high if g == _ZERO], default=-np.inf))
-            hi = np.minimum(hi_free, min([v for g, v in high if g == _ONE], default=np.inf)) - 1.0
-            theta[free] = _midpoints(lo, hi)
+            theta[tab.free] = _midpoints(np.maximum(lo_low[tab.free], lo_high[block]),
+                                         np.minimum(hi_low[tab.free], hi_high[block]))
         cols = slice(None)
         if best_total < np.inf:
-            # a total is at least each of its breaches, and a breach has at most
-            # one nonzero term: keep the columns where no max(lo - d, d - hi)
-            # exceeds best_total, testing the high digits first
-            cols, th = None, theta
-            for i in itertools.chain(range(low, n), range(low)):
-                d_i = u_list[i] - th
-                if i < low:
-                    over = np.maximum(tab.lo[i, cols] - d_i, d_i - tab.hi[i, cols])
-                elif high[i - low][0] == _ACTIVE:
-                    over = np.maximum(0.0 - d_i, d_i - 1.0)
-                else:  # the infinite bound never breaches
-                    over = d_i if high[i - low][0] == _ZERO else 1.0 - d_i
-                keep = np.flatnonzero(over <= best_total)
-                cols, th = keep if cols is None else cols[keep], th[keep]
-                if not cols.size:
-                    break
+            cols = np.flatnonzero((theta >= np.maximum(lo_low - slack, lo_b))
+                                  & (theta <= np.minimum(hi_low + slack, hi_b)))
             if not cols.size:
                 continue
             # one column would be summed pairwise, not row after row

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from hypersimplex.bench import run_bench
+from hypersimplex import bench
+from hypersimplex.bench import bench_jvp, bench_pav, bench_projection, run_bench
 from hypersimplex.cli import main
 from hypersimplex.trainer import CSV_HEADER, read_records_csv
 
@@ -236,6 +237,24 @@ class TestBenchCommand:
         with pytest.raises(ValueError) as exc:
             run_bench(sizes=(8,), reps=reps)
         assert str(exc.value) == f"reps must be an integer >= 1, got {reps!r}"
+
+    @pytest.mark.parametrize("bench_op", [bench_projection, bench_jvp, bench_pav])
+    @pytest.mark.parametrize("sizes, reps, message", [
+        ((8,), 0, "reps must be an integer >= 1, got 0"),
+        ((8,), 2.5, "reps must be an integer >= 1, got 2.5"),
+        ((8,), True, "reps must be an integer >= 1, got True"),
+        ((8, -4), 1, "bench size must be an integer >= 1, got -4"),
+        ((8, 2.5), 1, "bench size must be an integer >= 1, got 2.5"),
+    ], ids=["reps_0", "reps_2.5", "reps_True", "size_-4", "size_2.5"])
+    def test_each_bench_op_rejects_bad_sizes_and_reps(self, bench_op, sizes, reps, message,
+                                                      monkeypatch):
+        # checked before anything is timed: the timer fails if it is called
+        def no_timing(fn, reps):
+            raise AssertionError("timed before checking")
+        monkeypatch.setattr(bench, "_median_ns", no_timing)
+        with pytest.raises(ValueError) as exc:
+            bench_op(sizes, reps)
+        assert str(exc.value) == message
 
     def test_run_bench_times_the_small_n_solve(self):
         # at n <= 64 project runs the scalar walk, but project_theta_solve

@@ -240,6 +240,34 @@ class TestBruteForceProject:
                 assert cert.max_violation.hex() == ref.max_violation.hex()
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("n", [_LOW + 1, _LOW + 2])
+    @pytest.mark.parametrize("kind", ["near_2_to_53", "tiny_tau", "grid_k_1", "grid_k_n_minus_1",
+                                      "mixed_1e-6_1e6"])
+    def test_exact_at_the_edge_of_the_filter_slack(self, n, kind, monkeypatch):
+        # the interval filter's rounding slack is widest against the values
+        # here: |x / tau| just under the 2^53 refusal, tau = 1e-3, exact
+        # 0.25-grid ties at k = 1 and k = n - 1, and 1e-6 next to 1e6. Each
+        # block is forced as the one scored first, so the filter starts
+        # from every block's best total
+        rng = np.random.default_rng(41 + n)
+        x, k, tau = rng.normal(0, 2, n), n // 2, 1.0
+        if kind == "near_2_to_53":
+            x *= (2.0**53 - 2.0) / np.max(np.abs(x))
+        elif kind == "tiny_tau":
+            tau = 1e-3
+        elif kind.startswith("grid"):
+            x = rng.integers(-8, 9, n) * 0.25
+            k = 1 if kind == "grid_k_1" else n - 1
+        else:
+            x *= np.where(np.arange(n) % 2, 1e6, 1e-6)
+        spec = HypersimplexSpec(n, k, tau)
+        y, theta, violation = kkt_enumeration(x, spec)
+        for block in range(3 ** (n - _LOW)):
+            monkeypatch.setattr(oracle, "_seed_block", lambda u, k, low, b=block: b)
+            cert = brute_force_project(x, spec)
+            np.testing.assert_array_equal(cert.y, y)
+            assert (cert.theta, cert.max_violation) == (theta, violation)
+
     def test_results_do_not_depend_on_call_order(self):
         rng = np.random.default_rng(33)
         small, large = HypersimplexSpec(3, 1, 1.0), HypersimplexSpec(MAX_ORACLE_N, 5, 1.0)
