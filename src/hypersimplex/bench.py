@@ -8,6 +8,7 @@ are wall-clock medians and inherently machine-dependent; everything else
 in the output is deterministic.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -16,11 +17,13 @@ import numpy as np
 from .backward import jvp
 from .isotonic import _pav_decreasing
 from .projection import (
+    _WALK_MAX_N,
     HypersimplexSpec,
     _as_count,
     _prefix_sums,
     _sort_desc,
     _theta_from_sorted_numpy,
+    _theta_from_sorted_py,
     project,
 )
 
@@ -54,8 +57,10 @@ def _median_ns(fn, reps):
 
 
 def bench_projection(sizes, reps, seed=0):
-    """Rows for the full projection and for the sort (``_sort_desc``) and
-    theta solve of its numpy route, the one project takes above n = 64."""
+    """Rows for the full projection and for its sort and theta solve, each
+    on the route project takes at that n: up to _WALK_MAX_N the sort of a
+    list of Python floats and the scalar walk, above it ``_sort_desc`` and
+    the numpy kernel. The running sums are in neither phase row."""
     _check_sizes_and_reps(sizes, reps)
     rows = []
     rng = np.random.default_rng(seed)
@@ -65,14 +70,19 @@ def bench_projection(sizes, reps, seed=0):
         project(x, spec)  # warm caches before timing
         rows.append(BenchRow("project", n, _median_ns(lambda: project(x, spec), reps)))
         u = x / spec.tau
-        rows.append(BenchRow("project_sort", n, _median_ns(lambda: _sort_desc(u), reps)))
-        u_sorted = _sort_desc(u)
-        prefix = _prefix_sums(u_sorted)
+        if n <= _WALK_MAX_N:
+            u = u.tolist()
+            sort, solve = (lambda: sorted(u, reverse=True)), _theta_from_sorted_py
+            u_sorted = sort()
+            prefix = [0.0, *itertools.accumulate(u_sorted)]
+        else:
+            sort, solve = (lambda: _sort_desc(u)), _theta_from_sorted_numpy
+            u_sorted = sort()
+            prefix = _prefix_sums(u_sorted)
         k = float(spec.k)
-        rows.append(
-            BenchRow("project_theta_solve", n, _median_ns(
-                lambda: _theta_from_sorted_numpy(u_sorted, prefix, k), reps))
-        )
+        rows.append(BenchRow("project_sort", n, _median_ns(sort, reps)))
+        rows.append(BenchRow("project_theta_solve", n, _median_ns(
+            lambda: solve(u_sorted, prefix, k), reps)))
     return rows
 
 

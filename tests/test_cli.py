@@ -257,12 +257,27 @@ class TestBenchCommand:
         assert str(exc.value) == message
 
     def test_run_bench_times_the_small_n_solve(self):
-        # at n <= 64 project runs the scalar walk, but project_theta_solve
-        # still times the numpy kernel there
+        # at n <= 64 project sorts a list and runs the scalar walk, and so
+        # do project_sort and project_theta_solve
         rows = run_bench(sizes=(32, 64), reps=1, ops=("project",))
         assert [(r.op, r.n) for r in rows] == [
             (op, n) for n in (32, 64)
             for op in ("project", "project_sort", "project_theta_solve")]
+
+    def test_phase_rows_time_the_route_project_takes(self, monkeypatch):
+        # the numpy sort and kernel run in the phase rows above n = 64 only
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(len(args[0]))
+                return fn(*args)
+            return wrapper
+        for name in ("_sort_desc", "_theta_from_sorted_numpy"):
+            monkeypatch.setattr(bench, name, counted(getattr(bench, name)))
+        rows = run_bench(sizes=(64, 65), reps=1, ops=("project",))
+        assert [r.op for r in rows] == ["project", "project_sort", "project_theta_solve"] * 2
+        assert set(calls) == {65}
 
     def test_run_bench_rejects_unknown_op(self):
         with pytest.raises(ValueError, match="unknown bench op 'projct'"):

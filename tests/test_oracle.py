@@ -1,16 +1,12 @@
 import itertools
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from hypersimplex import HypersimplexSpec, hard_topk, jvp, oracle, project
 from hypersimplex.oracle import (
-    _LOW,
     MAX_ORACLE_N,
-    _low_block,
     brute_force_project,
     exhaustive_topk,
     fd_jacobian,
@@ -25,9 +21,9 @@ def left_sum(values):
     return total
 
 
-def kkt_enumeration(x, spec):
-    """(y, theta, max_violation) of the first least-violating boundary pattern,
-    scored coordinate by coordinate in plain Python.
+def kkt_winner(x, spec):
+    """(code, y, theta, max_violation) of the first least-violating boundary
+    pattern, scored coordinate by coordinate in plain Python.
 
     itertools.product varies its last factor fastest, so with each tuple
     reversed (digit i weighs 3^i) the patterns come in increasing code order.
@@ -35,7 +31,7 @@ def kkt_enumeration(x, spec):
     """
     u = [float(v) / spec.tau for v in x]
     best = None
-    for pattern in itertools.product((0, 1, 2), repeat=spec.n):
+    for code, pattern in enumerate(itertools.product((0, 1, 2), repeat=spec.n)):
         digits = pattern[::-1]
         act = [u[i] for i, g in enumerate(digits) if g == 1]
         n_one = digits.count(2)
@@ -61,38 +57,33 @@ def kkt_enumeration(x, spec):
         total = left_sum(breaches) + gap
         if best is None or total < best[0]:
             y = [ui - theta if g == 1 else float(g == 2) for ui, g in zip(u, digits)]
-            best = (total, y, theta, max(max(breaches), gap))
-    return np.array(best[1]), best[2], best[3]
+            best = (total, code, y, theta, max(max(breaches), gap))
+    return best[1], np.array(best[2]), best[3], best[4]
 
 
-class TestLowBlockTable:
-    @pytest.mark.parametrize("low", range(0, 6))
-    def test_columns_are_base3_digits_of_their_code(self, low):
-        tab = _low_block(low)
-        codes = np.arange(3**low)
-        expected = np.array([(codes // 3**i) % 3 for i in range(low)], dtype=int)
-        expected = expected.reshape(low, 3**low)  # (0, 1) at low = 0
-        assert tab.digits.dtype == tab.m.dtype == tab.n_one.dtype == np.int8
-        np.testing.assert_array_equal(tab.digits, expected)
-        np.testing.assert_array_equal(tab.m, np.count_nonzero(expected == 1, axis=0))
-        np.testing.assert_array_equal(tab.n_one, np.count_nonzero(expected == 2, axis=0))
-        np.testing.assert_array_equal(tab.lo, np.array([-np.inf, 0.0, 1.0])[expected])
-        np.testing.assert_array_equal(tab.hi, np.array([0.0, 1.0, np.inf])[expected])
-        np.testing.assert_array_equal(tab.interior, expected == 1)
-        np.testing.assert_array_equal(tab.free, np.flatnonzero(np.all(expected != 1, axis=0)))
+def kkt_enumeration(x, spec):
+    """(y, theta, max_violation) of kkt_winner."""
+    return kkt_winner(x, spec)[1:]
 
-    def test_shared_table_is_read_only(self):
-        for a in _low_block(3):
-            with pytest.raises(ValueError):
-                a[0] = 1
 
-    def test_not_built_at_import(self):
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import hypersimplex.oracle as o; print(o._low_block.cache_info().currsize)"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert out.strip() == "0"
+def forced_seeds(n, seed):
+    """Patterns to force as the one scored first: every pattern up to n = 5;
+    above it the all-zero digits and one pattern drawn from `seed`. A poor
+    first pattern can make the search score most of the 3^n patterns."""
+    if n <= 5:
+        return [list(p) for p in itertools.product((0, 1, 2), repeat=n)]
+    return [[0] * n, np.random.default_rng(seed).integers(0, 3, n).tolist()]
+
+
+# Tie-heavy inputs at k = n // 2: each leaves many patterns with equal or
+# near-equal totals
+TIE_HEAVY = {
+    "zeros": lambda n: [0.0] * n,
+    "zeros_ones": lambda n: [0.0] * (n // 2) + [1.0] * (n - n // 2),
+    "p7_1p7": lambda n: [0.7] * (n // 2) + [1.7] * (n - n // 2),
+    "offset_1e6": lambda n: [1e6 + 0.1] * (n // 2) + [1e6 + 1.1] * (n - n // 2),
+    "grid": lambda n: [0.75, 1.25, -2.0, 1.25, -0.25, 0.0, 0.5, -1.0, 2.0, -2.0, -1.0, -0.5][:n],
+}
 
 
 class TestBruteForceProject:
@@ -161,20 +152,20 @@ class TestBruteForceProject:
     def test_matches_plain_enumeration(self):
         # Gaussian scores and 0.25-grid ties (exact boundary hits); every
         # fourth instance has k = 0 and every fourth k = n. The next 12 have
-        # n = 9: three blocks of 3^8 codes, told apart by the last digit. The
-        # last 12 have n = 9 and tau = 10, where the winner's sum-constraint
-        # gap, added in any order but coordinate order, misses on some draws.
+        # n = 9. The last 12 have n = 9 and tau = 10, where the winner's
+        # sum-constraint gap, added in any order but coordinate order, misses
+        # on some draws.
         rng = np.random.default_rng(32)
         cases = []
         for i in range(212):
-            n = int(rng.integers(1, 7)) if i < 200 else _LOW + 1
+            n = int(rng.integers(1, 7)) if i < 200 else 9
             k = (0, n, int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1)))[i % 4]
             tau = float(rng.choice([0.5, 1.0, 2.0]))
             x = rng.normal(0, 2, n) if i % 2 else rng.integers(-8, 9, n) * 0.25
             cases.append((x, HypersimplexSpec(n, k, tau)))
         rng = np.random.default_rng(34)
         for _ in range(12):
-            n = _LOW + 1
+            n = 9
             k = int(rng.integers(1, n))
             cases.append((rng.normal(0, 2, n), HypersimplexSpec(n, k, 10.0)))
         for x, spec in cases:
@@ -184,16 +175,16 @@ class TestBruteForceProject:
             assert (cert.theta, cert.max_violation) == (theta, violation)
 
     @pytest.mark.parametrize("x", [
-        # code 1 (block 0: y_0 interior at d = 1, theta 2) beats code 2 + 3^8
-        # (block 1: y_0 at one, y_8 interior at d = 0, theta 0)
+        # code 1 (y_0 interior at d = 1, theta 2) beats code 2 + 3^8 (y_0 at
+        # one, y_8 interior at d = 0, theta 0), in another block of 3^8 codes
         [3.0] + [-5.0] * 7 + [0.0],
-        # code 3^8 (block 1: y_8 interior at d = 1, theta 2) beats code 2 * 3^8
-        # (block 2: y_8 at one, theta 1 by the midpoint rule) and later ones
+        # code 3^8 (y_8 interior at d = 1, theta 2) beats code 2 * 3^8 (y_8
+        # at one, theta 1 by the midpoint rule) and later ones
         [0.0] * 8 + [3.0],
     ])
     def test_tie_across_blocks_goes_to_the_smallest_code(self, x):
         # every zero-violation pattern gives the same y, but each its own theta
-        spec = HypersimplexSpec(_LOW + 1, 1, 1.0)
+        spec = HypersimplexSpec(9, 1, 1.0)
         cert = brute_force_project(np.array(x), spec)
         assert cert.theta == 2.0
         assert cert.max_violation == 0.0
@@ -212,43 +203,44 @@ class TestBruteForceProject:
         ([-0.25, -1.25, -0.75, -2.0, 1.75, -1.75, 0.0, -0.5, 0.5, -1.75], 1, 1.0),
     ])
     def test_tie_with_an_earlier_block_than_the_seed_goes_to_the_smallest_code(self, x, k, tau):
-        # the seed block is scored first, and on these draws a block before
-        # it holds a pattern with the same least total: keeping the first
-        # block scored instead gives another certificate on every one
+        # the seed's pattern is scored first, and on these draws a pattern
+        # with a smaller code has the same least total: keeping the first
+        # pattern scored instead gives another certificate on every one
         x = np.array(x)
         spec = HypersimplexSpec(x.size, k, tau)
-        assert oracle._seed_block((x / tau).tolist(), float(k), _LOW) != 0
+        code, y, theta, violation = kkt_winner(x, spec)
+        seed = oracle._seed((x / tau).tolist(), float(k))
+        assert sum(g * 3**i for i, g in enumerate(seed)) > code
         cert = brute_force_project(x, spec)
-        y, theta, violation = kkt_enumeration(x, spec)
         np.testing.assert_array_equal(cert.y, y)
         assert (cert.theta, cert.max_violation) == (theta, violation)
 
-    @pytest.mark.parametrize("n, draws", [(_LOW + 1, 6), (_LOW + 2, 4), (MAX_ORACLE_N, 2)])
-    def test_certificate_does_not_depend_on_the_seed_block(self, n, draws, monkeypatch):
-        # pruning is exact whichever block is scored first, a poor one too
+    @pytest.mark.parametrize("n, draws", [(3, 4), (5, 2), (9, 6), (10, 4), (MAX_ORACLE_N, 2)])
+    def test_certificate_does_not_depend_on_the_seed(self, n, draws, monkeypatch):
+        # the cuts are exact whichever pattern is scored first, a poor one too
         rng = np.random.default_rng(37 + n)
         for j in range(draws):
             x = rng.normal(0, 2, n) if j % 2 == 0 else rng.integers(-8, 9, n) * 0.25
             spec = HypersimplexSpec(n, int(rng.integers(0, n + 1)),
                                     float(rng.choice([0.1, 1.0, 10.0])))
             ref = brute_force_project(x, spec)
-            for block in range(3 ** (n - _LOW)):
-                monkeypatch.setattr(oracle, "_seed_block", lambda u, k, low, b=block: b)
+            for seed in forced_seeds(n, (n, j)):
+                monkeypatch.setattr(oracle, "_seed", lambda u, k, p=seed: list(p))
                 cert = brute_force_project(x, spec)
                 assert cert.y.tobytes() == ref.y.tobytes()
                 assert cert.theta.hex() == ref.theta.hex()
                 assert cert.max_violation.hex() == ref.max_violation.hex()
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("n", [_LOW + 1, _LOW + 2])
+    @pytest.mark.parametrize("n", [9, 10])
     @pytest.mark.parametrize("kind", ["near_2_to_53", "tiny_tau", "grid_k_1", "grid_k_n_minus_1",
                                       "mixed_1e-6_1e6"])
     def test_exact_at_the_edge_of_the_filter_slack(self, n, kind, monkeypatch):
         # the interval filter's rounding slack is widest against the values
         # here: |x / tau| just under the 2^53 refusal, tau = 1e-3, exact
-        # 0.25-grid ties at k = 1 and k = n - 1, and 1e-6 next to 1e6. Each
-        # block is forced as the one scored first, so the filter starts
-        # from every block's best total
+        # 0.25-grid ties at k = 1 and k = n - 1, and 1e-6 next to 1e6. Poor
+        # patterns are forced as the one scored first, so the cuts start
+        # from their best totals
         rng = np.random.default_rng(41 + n)
         x, k, tau = rng.normal(0, 2, n), n // 2, 1.0
         if kind == "near_2_to_53":
@@ -262,17 +254,43 @@ class TestBruteForceProject:
             x *= np.where(np.arange(n) % 2, 1e6, 1e-6)
         spec = HypersimplexSpec(n, k, tau)
         y, theta, violation = kkt_enumeration(x, spec)
-        for block in range(3 ** (n - _LOW)):
-            monkeypatch.setattr(oracle, "_seed_block", lambda u, k, low, b=block: b)
+        for seed in forced_seeds(n, n):
+            monkeypatch.setattr(oracle, "_seed", lambda u, k, p=seed: list(p))
             cert = brute_force_project(x, spec)
             np.testing.assert_array_equal(cert.y, y)
             assert (cert.theta, cert.max_violation) == (theta, violation)
+
+    def test_exact_where_the_slack_needs_its_rounding_term(self):
+        # the winner, code 19 (y_0 interior, y_1 at zero, y_2 at one), has
+        # theta -0.6000000000000001, one ulp below its interior bound
+        # 0.4 - 1 = -0.6 as rounded; its breaches are all 0, and so is the
+        # total of a larger code scored before it. A slack of B alone cuts
+        # it, so the certificate needs the slack's rounding term
+        x, spec = np.array([0.2, -0.7000000000000001, 0.5]), HypersimplexSpec(3, 2, 0.5)
+        code, y, theta, violation = kkt_winner(x, spec)
+        assert code == 19 and violation == 0.0
+        assert theta < 0.2 / 0.5 - 1.0
+        cert = brute_force_project(x, spec)
+        np.testing.assert_array_equal(cert.y, y)
+        assert (cert.theta, cert.max_violation) == (theta, violation)
+
+    def test_exact_where_the_window_needs_its_rounding_term(self):
+        # the winner, code 13 (every y interior), totals 0: its d, 1.1e-16,
+        # 1 and 1.1e-16, sum to 1 left to right, but the clip sum rounded
+        # once is 1 + 2.2e-16. A theta window of |g - k| <= B alone leaves
+        # it out, so the certificate needs the window's rounding term
+        x, spec = np.array([0.2, 0.7, 0.2]), HypersimplexSpec(3, 1, 0.5)
+        code, y, theta, violation = kkt_winner(x, spec)
+        assert code == 13 and violation == 0.0
+        assert math.fsum(min(max(v / 0.5 - theta, 0.0), 1.0) for v in x) > 1.0
+        cert = brute_force_project(x, spec)
+        np.testing.assert_array_equal(cert.y, y)
+        assert (cert.theta, cert.max_violation) == (theta, violation)
 
     def test_results_do_not_depend_on_call_order(self):
         rng = np.random.default_rng(33)
         small, large = HypersimplexSpec(3, 1, 1.0), HypersimplexSpec(MAX_ORACLE_N, 5, 1.0)
         xs, xl = rng.normal(0, 3, 3), rng.normal(0, 3, MAX_ORACLE_N)
-        _low_block.cache_clear()
         certs = [brute_force_project(x, spec)
                  for x, spec in ((xs, small), (xl, large), (xs, small), (xl, large))]
         for a, b in ((certs[0], certs[2]), (certs[1], certs[3])):
@@ -288,6 +306,50 @@ class TestBruteForceProject:
                                    HypersimplexSpec(4, 2, 1.0))
         assert cert.max_violation <= 1e-12
         np.testing.assert_allclose(cert.y, [1.0, 0.5, 0.5, 0.0], atol=1e-10)
+
+
+class TestTieHeavyInputs:
+    # Coordinates tied at a breakpoint each leave two zero-breach digits, so
+    # many patterns tie with the winner; the theta window and the stop at a
+    # zero total keep the search small on them
+
+    @pytest.mark.parametrize("name", TIE_HEAVY)
+    def test_matches_plain_enumeration_at_9(self, name):
+        x, spec = np.array(TIE_HEAVY[name](9)), HypersimplexSpec(9, 4, 1.0)
+        cert = brute_force_project(x, spec)
+        y, theta, violation = kkt_enumeration(x, spec)
+        np.testing.assert_array_equal(cert.y, y)
+        assert (cert.theta, cert.max_violation) == (theta, violation)
+
+    @pytest.mark.parametrize("name, y, theta", [
+        ("zeros", [0.5] * 12, "-0x1.0000000000000p-1"),
+        ("zeros_ones", [0.0] * 6 + [1.0] * 6, "0x0.0p+0"),
+        ("p7_1p7", [0.0] * 6 + [1.0] * 6, "0x1.6666666666666p-1"),
+        ("offset_1e6", [0.0] * 6 + [1.0] * 6, "0x1.e848033333333p+19"),
+        ("grid", [1.0, 1.0, 0.0, 1.0, float.fromhex("0x1.5555555555556p-2"),
+                  float.fromhex("0x1.2aaaaaaaaaaabp-1"), 1.0, 0.0, 1.0, 0.0, 0.0,
+                  float.fromhex("0x1.5555555555558p-4")], "-0x1.2aaaaaaaaaaabp-1"),
+    ])
+    def test_certificate_at_12_is_pinned(self, name, y, theta):
+        # the bits of the 3^8-code block oracle that this search replaced
+        cert = brute_force_project(np.array(TIE_HEAVY[name](12)), HypersimplexSpec(12, 6, 1.0))
+        assert cert.y.tobytes() == np.array(y).tobytes()
+        assert cert.theta.hex() == theta
+        assert cert.max_violation.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("name", TIE_HEAVY)
+    def test_patterns_scored_at_12_are_few(self, name, monkeypatch):
+        # 2-66 scorings here; without the window, or without the stop at a
+        # zero total, some of these inputs reach 4,097 of the 531,441
+        calls = []
+        score = oracle._score
+
+        def counted(*args):
+            calls.append(None)
+            return score(*args)
+        monkeypatch.setattr(oracle, "_score", counted)
+        brute_force_project(np.array(TIE_HEAVY[name](12)), HypersimplexSpec(12, 6, 1.0))
+        assert len(calls) <= 100
 
 
 class TestExhaustiveTopk:
