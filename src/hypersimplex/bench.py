@@ -1,11 +1,12 @@
 """Microbenchmarks for the projection forward and backward paths.
 
-Times the full projection, its sort and threshold-solve phases, the jvp
-and PAV over a size ladder, and derives doubling ratios (time at 2n over
-time at n). The forward pass is sort-dominated, so its ratio should sit
-near 2 log(2n)/log(n); the backward pass is linear, ratio near 2. Timings
-are wall-clock medians and inherently machine-dependent; everything else
-in the output is deterministic.
+Times the full projection, its scale, sort, threshold-solve and
+clip-and-classify phases, the jvp and PAV over a size ladder, and derives
+doubling ratios (time at 2n over time at n). The forward pass is
+sort-dominated, so its ratio should sit near 2 log(2n)/log(n); the
+backward pass is linear, ratio near 2. Timings are wall-clock medians and
+inherently machine-dependent; everything else in the output is
+deterministic.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from .projection import (
     _WALK_MAX_N,
     HypersimplexSpec,
     _as_count,
+    _classify,
     _prefix_sums,
     _sort_desc,
     _theta_from_sorted_numpy,
@@ -57,10 +59,12 @@ def _median_ns(fn, reps):
 
 
 def bench_projection(sizes, reps, seed=0):
-    """Rows for the full projection and for its sort and theta solve, each
-    on the route project takes at that n: up to _WALK_MAX_N the sort of a
-    list of Python floats and the scalar walk, above it ``_sort_desc`` and
-    the numpy kernel. The running sums are in neither phase row."""
+    """Rows for the full projection and for its phases in order: scale, sort,
+    theta solve, and clip and classify, each on the route project takes at
+    that n. Up to _WALK_MAX_N that is a list of Python floats, its sort and
+    the scalar walk, then a fresh y; above it x / tau, ``_sort_desc``, the
+    numpy kernel, and y in a buffer the call already owns. The running sums
+    are in no phase row."""
     _check_sizes_and_reps(sizes, reps)
     rows = []
     rng = np.random.default_rng(seed)
@@ -69,20 +73,34 @@ def bench_projection(sizes, reps, seed=0):
         spec = HypersimplexSpec(n, n // 4, 1.0)
         project(x, spec)  # warm caches before timing
         rows.append(BenchRow("project", n, _median_ns(lambda: project(x, spec), reps)))
-        u = x / spec.tau
         if n <= _WALK_MAX_N:
-            u = u.tolist()
-            sort, solve = (lambda: sorted(u, reverse=True)), _theta_from_sorted_py
+            # tau is 1, so the list route skips the division and x is x / tau
+            scale, sort, solve = x.tolist, (lambda: sorted(u, reverse=True)), _theta_from_sorted_py
+            u = scale()
             u_sorted = sort()
             prefix = [0.0, *itertools.accumulate(u_sorted)]
+            subtract = lambda: np.subtract(x, theta)
         else:
-            sort, solve = (lambda: _sort_desc(u)), _theta_from_sorted_numpy
+            scale, sort = (lambda: x / spec.tau), (lambda: _sort_desc(u))
+            solve = _theta_from_sorted_numpy
+            u = scale()
             u_sorted = sort()
             prefix = _prefix_sums(u_sorted)
+            # project subtracts into u's buffer; this one of the same size
+            # keeps u intact from rep to rep
+            y = np.empty(n)
+            subtract = lambda: np.subtract(u, theta, out=y)
         k = float(spec.k)
+        theta = solve(u_sorted, prefix, k)
+
+        def clip_classify():
+            d = subtract()
+            return _classify(d.clip(0.0, 1.0, out=d), theta, spec)
+        rows.append(BenchRow("project_scale", n, _median_ns(scale, reps)))
         rows.append(BenchRow("project_sort", n, _median_ns(sort, reps)))
         rows.append(BenchRow("project_theta_solve", n, _median_ns(
             lambda: solve(u_sorted, prefix, k), reps)))
+        rows.append(BenchRow("project_clip_classify", n, _median_ns(clip_classify, reps)))
     return rows
 
 

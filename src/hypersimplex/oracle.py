@@ -8,17 +8,20 @@ between the two is strong evidence of correctness. Test-only; never
 imported by the fast paths.
 
 The projection oracle is an exact branch and bound on Python floats. It
-scores first the pattern at a bisected approximate threshold, then visits
-digit prefixes depth first from the highest coordinate down, so that the
-leaves come in increasing code order. A pattern can beat or tie the best
-total B so far only if each of its breaches is at most B, since a sum of
-non-negative floats is at least each term: so only if its theta lies within
-B of its free interval (the thetas at which none of its digits breaches),
-and only if g(theta) = sum(clip(u - theta, 0, 1)) lies within B of k. A
-prefix's free interval holds those of its completions, so a prefix is cut
-when that interval, widened by a rounding slack, misses the window where g
-is that close to k. Once B is 0 nothing beats it, and ties go to the
-smaller code, so every prefix after the best code is cut too.
+scores first the pattern at a threshold where g(theta) = sum(clip(u - theta,
+0, 1)) crosses k, then visits digit prefixes depth first from the highest
+coordinate down, so that the leaves come in increasing code order. A pattern
+can beat or tie the best total B so far only if each of its breaches is at
+most B, since a sum of non-negative floats is at least each term: so only if
+its theta lies within B of its free interval (the thetas at which none of its
+digits breaches), and only if g(theta) lies within B of k. A prefix's free
+interval holds those of its completions, so a prefix is cut when that
+interval, widened by a rounding slack, misses the window where g is that
+close to k. Once B is 0 nothing beats it, and ties go to the smaller code, so
+every prefix after the best code is cut too. The seed's threshold and the
+window's ends come from brackets of g's crossings, found among g's 2n
+breakpoints, sorted once per call, and then inside the linear piece between
+two of them.
 """
 
 import itertools
@@ -66,27 +69,50 @@ def _clip_sum(u, theta):
     return math.fsum([0.0 if v <= theta else 1.0 if v - theta >= 1.0 else v - theta for v in u])
 
 
-def _crossing(u, level, lo, hi):
-    """(lo, hi) after 40 bisection steps that keep g(lo) > level >= g(hi)."""
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _clip_sum(u, mid) > level else (lo, mid)
+def _breakpoints(u):
+    """g's 2n breakpoints u_i and u_i - 1, sorted, between an end where g = n
+    and one where g = 0."""
+    return [min(u) - 2.0, *sorted(u + [v - 1.0 for v in u]), max(u) + 1.0]
+
+
+def _crossing(u, points, level):
+    """(lo, hi) with g(lo) > level >= g(hi), for 0 <= level < n. A binary
+    search finds the adjacent breakpoints in `points` that bracket level.
+    Between them g is linear, so a secant step lands within a few ulps of the
+    crossing. Up to two such steps, each followed by the float next to it
+    towards the far end, tighten the bracket, often to adjacent floats."""
+    i, j, g_lo, g_hi = 0, len(points) - 1, len(u), 0.0
+    while j - i > 1:
+        mid = (i + j) // 2
+        g = _clip_sum(u, points[mid])
+        i, g_lo, j, g_hi = (mid, g, j, g_hi) if g > level else (i, g_lo, mid, g)
+    lo, hi = points[i], points[j]
+    for step in range(4):
+        if step % 2 == 0:  # a secant step, kept strictly inside the bracket
+            t = lo + (g_lo - level) / (g_lo - g_hi) * (hi - lo)
+            t = min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        else:  # the float next to the last step, towards the far end
+            t = math.nextafter(lo, hi) if t == lo else math.nextafter(hi, lo)
+        if not lo < t < hi:  # lo and hi are adjacent floats
+            break
+        g = _clip_sum(u, t)
+        lo, g_lo, hi, g_hi = (t, g, hi, g_hi) if g > level else (lo, g_lo, t, g)
     return lo, hi
 
 
-def _theta_window(u, k, r):
+def _theta_window(u, points, k, r):
     """An open interval holding every theta with |g(theta) - k| <= r."""
-    lo, hi = min(u) - 2.0, max(u) + 1.0  # g(lo) = n and g(hi) = 0
     # g <= k + r only above a theta where g > k + r, and g >= k - r only
     # below one where g is at most the float below k - r
-    return (_crossing(u, k + r, lo, hi)[0] if k + r < len(u) else -math.inf,
-            _crossing(u, math.nextafter(k - r, 0.0), lo, hi)[1] if k - r > 0.0 else math.inf)
+    return (_crossing(u, points, k + r)[0] if k + r < len(u) else -math.inf,
+            _crossing(u, points, math.nextafter(k - r, 0.0))[1] if k - r > 0.0 else math.inf)
 
 
-def _seed(u, k):
-    """The digits at an approximate threshold where g crosses k. They only
-    pick the pattern scored first, so they set the speed, not the result."""
-    theta = _crossing(u, k, min(u) - 1.0, max(u))[1]
+def _seed(u, points, k):
+    """The digits at a threshold where g crosses k, within a few ulps; at
+    k = n, below every breakpoint. They only pick the pattern scored first,
+    so they set the speed, not the result."""
+    theta = _crossing(u, points, k)[1] if k < len(u) else points[0]
     return [_ZERO if v <= theta else _ONE if v - theta >= 1.0 else _ACTIVE for v in u]
 
 
@@ -170,7 +196,7 @@ def brute_force_project(x, spec):
             # adds at most (n + 2) b 2^-53 in the breaches and their sum, n (n + 1)
             # (1 + b) 2^-53 in the gap (an interior |d| is at most 1 + b), n 2^-53
             # in fsum and (2n + 2b + 2r) 2^-53 in k +- r; r's second term bounds that.
-            window = _theta_window(u, k, b + 2.0**-52 * (n + 2) ** 2 * (b + 3.0))
+            window = _theta_window(u, points, k, b + 2.0**-52 * (n + 2) ** 2 * (b + 3.0))
         best_total, best_code, best = scored[0], code, scored
 
     def visit(i, lo, hi, code):
@@ -185,7 +211,8 @@ def brute_force_project(x, spec):
             digits[i - 1] = g
             visit(i - 1, max(lo, v - _HI[g]), min(hi, v - _LO[g]), code + g * place)
 
-    digits, lo, hi = _seed(u, k), -math.inf, math.inf
+    points = _breakpoints(u)
+    digits, lo, hi = _seed(u, points, k), -math.inf, math.inf
     for v, g in zip(reversed(u), reversed(digits)):  # folded as visit folds them
         lo, hi = max(lo, v - _HI[g]), min(hi, v - _LO[g])
     keep(sum(g * 3**i for i, g in enumerate(digits)), lo, hi)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypersimplex import bench
+from hypersimplex import HypersimplexSpec, bench, project
 from hypersimplex.bench import bench_jvp, bench_pav, bench_projection, run_bench
 from hypersimplex.cli import main
 from hypersimplex.trainer import CSV_HEADER, read_records_csv
@@ -172,6 +172,11 @@ class TestGradcheckCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+# the project op's rows at each size, in the order they are timed
+PROJECT_ROWS = ("project", "project_scale", "project_sort", "project_theta_solve",
+                "project_clip_classify")
+
+
 class TestBenchCommand:
     def test_csv_and_doubling_lines(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--sizes", "1024,2048",
@@ -180,11 +185,12 @@ class TestBenchCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "op,n,median_ns"
         data = [line for line in lines if not line.startswith("#")][1:]
-        # the project op also reports its sort and theta-solve phases
-        assert len(data) == 6
+        # the project op also reports its scale, sort, theta-solve and
+        # clip-and-classify phases
+        assert len(data) == 10
         for line in data:
             op, n, median = line.split(",")
-            assert op in ("project", "project_sort", "project_theta_solve")
+            assert op in PROJECT_ROWS
             assert int(n) in (1024, 2048)
             assert int(median) > 0
         ratios = [line for line in lines if line.startswith("#")]
@@ -206,8 +212,7 @@ class TestBenchCommand:
         code, out, _ = run_cli(capsys, "bench", "--sizes", "512,1024", "--reps", "1")
         assert code == 0
         data = [line for line in out.strip().splitlines() if not line.startswith("#")][1:]
-        assert {line.split(",")[0] for line in data} == {
-            "project", "project_sort", "project_theta_solve", "jvp"}
+        assert {line.split(",")[0] for line in data} == {*PROJECT_ROWS, "jvp"}
 
     def test_unknown_op(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--ops", "matmul")
@@ -260,9 +265,7 @@ class TestBenchCommand:
         # at n <= 64 project sorts a list and runs the scalar walk, and so
         # do project_sort and project_theta_solve
         rows = run_bench(sizes=(32, 64), reps=1, ops=("project",))
-        assert [(r.op, r.n) for r in rows] == [
-            (op, n) for n in (32, 64)
-            for op in ("project", "project_sort", "project_theta_solve")]
+        assert [(r.op, r.n) for r in rows] == [(op, n) for n in (32, 64) for op in PROJECT_ROWS]
 
     def test_phase_rows_time_the_route_project_takes(self, monkeypatch):
         # the numpy sort and kernel run in the phase rows above n = 64 only
@@ -276,8 +279,26 @@ class TestBenchCommand:
         for name in ("_sort_desc", "_theta_from_sorted_numpy"):
             monkeypatch.setattr(bench, name, counted(getattr(bench, name)))
         rows = run_bench(sizes=(64, 65), reps=1, ops=("project",))
-        assert [r.op for r in rows] == ["project", "project_sort", "project_theta_solve"] * 2
+        assert [r.op for r in rows] == list(PROJECT_ROWS) * 2
         assert set(calls) == {65}
+
+    def test_phase_rows_chain_into_project_s_result(self, monkeypatch):
+        # the theta solved in the phase rows, clipped and classified, is
+        # project's result to the bit on both routes
+        results = []
+        classify = bench._classify
+
+        def recorded(y, theta, spec):
+            results.append(classify(y, theta, spec))
+            return results[-1]
+        monkeypatch.setattr(bench, "_classify", recorded)
+        run_bench(sizes=(64, 65), reps=1, ops=("project",))
+        rng = np.random.default_rng(0)
+        for res, n in zip(results, (64, 65), strict=True):
+            ref = project(rng.normal(0.0, 1.0, n), HypersimplexSpec(n, n // 4, 1.0))
+            assert res.y.tobytes() == ref.y.tobytes()
+            assert res.theta.hex() == ref.theta.hex()
+            assert res.active.tolist() == ref.active.tolist()
 
     def test_run_bench_rejects_unknown_op(self):
         with pytest.raises(ValueError, match="unknown bench op 'projct'"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,7 +210,8 @@ class TestBruteForceProject:
         x = np.array(x)
         spec = HypersimplexSpec(x.size, k, tau)
         code, y, theta, violation = kkt_winner(x, spec)
-        seed = oracle._seed((x / tau).tolist(), float(k))
+        u = (x / tau).tolist()
+        seed = oracle._seed(u, oracle._breakpoints(u), float(k))
         assert sum(g * 3**i for i, g in enumerate(seed)) > code
         cert = brute_force_project(x, spec)
         np.testing.assert_array_equal(cert.y, y)
@@ -225,7 +227,7 @@ class TestBruteForceProject:
                                     float(rng.choice([0.1, 1.0, 10.0])))
             ref = brute_force_project(x, spec)
             for seed in forced_seeds(n, (n, j)):
-                monkeypatch.setattr(oracle, "_seed", lambda u, k, p=seed: list(p))
+                monkeypatch.setattr(oracle, "_seed", lambda u, points, k, p=seed: list(p))
                 cert = brute_force_project(x, spec)
                 assert cert.y.tobytes() == ref.y.tobytes()
                 assert cert.theta.hex() == ref.theta.hex()
@@ -255,7 +257,7 @@ class TestBruteForceProject:
         spec = HypersimplexSpec(n, k, tau)
         y, theta, violation = kkt_enumeration(x, spec)
         for seed in forced_seeds(n, n):
-            monkeypatch.setattr(oracle, "_seed", lambda u, k, p=seed: list(p))
+            monkeypatch.setattr(oracle, "_seed", lambda u, points, k, p=seed: list(p))
             cert = brute_force_project(x, spec)
             np.testing.assert_array_equal(cert.y, y)
             assert (cert.theta, cert.max_violation) == (theta, violation)
@@ -350,6 +352,103 @@ class TestTieHeavyInputs:
         monkeypatch.setattr(oracle, "_score", counted)
         brute_force_project(np.array(TIE_HEAVY[name](12)), HypersimplexSpec(12, 6, 1.0))
         assert len(calls) <= 100
+
+
+def bracket_inputs(seed, count):
+    """Seeded score lists u (x / tau) at n 1-12 where float rounding in g is
+    at its worst: ties, a 0.25 grid, plateaus of g between repeated values,
+    1e6 offsets, scales from 1e-6 to 1e6 and |u| near 2^53."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 13))
+        kind = i % 6
+        if kind == 0:
+            u = rng.choice([-1.0, 0.0, 0.5, 2.0], n)
+        elif kind == 1:
+            u = rng.integers(-8, 9, n) * 0.25
+        elif kind == 2:  # two clusters more than 1 apart: g is flat between them
+            u = np.where(rng.random(n) < 0.5, 0.7, 3.7) + rng.integers(0, 2, n) * 1e-9
+        elif kind == 3:
+            u = 1e6 + rng.normal(0, 2, n)
+        elif kind == 4:
+            u = rng.normal(0, 1, n) * 10 ** rng.uniform(-6, 6, n)
+        else:
+            u = rng.normal(0, 1, n)
+            u *= (2.0**53 - 2.0) / np.max(np.abs(u))
+        yield u.tolist()
+
+
+def bracket_levels(n, k, rng):
+    """The levels the search asks g to cross: k, k +- r and the float below
+    k - r, for a tiny, a small and a large r, kept where 0 <= level < n."""
+    levels = {float(k), math.nextafter(float(n), 0.0)}
+    for r in (2.0**-52 * (n + 2) ** 2 * 3.0, float(rng.uniform(0, 1)), float(rng.uniform(1, n + 1))):
+        levels |= {k + r, k - r, math.nextafter(k - r, 0.0)}
+    return sorted(v for v in levels if 0.0 <= v < n)
+
+
+class TestThresholdBrackets:
+    # The window's and the seed's thresholds come from _crossing's brackets,
+    # so the cuts are exact only if every bracket keeps g(lo) > level >= g(hi)
+
+    def test_crossing_brackets_the_level(self):
+        rng = np.random.default_rng(50)
+        for u in bracket_inputs(51, 600):
+            n, points = len(u), oracle._breakpoints(u)
+            for k in range(n + 1):
+                for level in bracket_levels(n, k, rng):
+                    lo, hi = oracle._crossing(u, points, level)
+                    assert lo < hi
+                    assert oracle._clip_sum(u, lo) > level >= oracle._clip_sum(u, hi)
+
+    def test_crossing_at_level_zero_ends_where_g_does(self):
+        u = [0.25, -1.0, 0.25]
+        lo, hi = oracle._crossing(u, oracle._breakpoints(u), 0.0)
+        assert (lo, hi) == (math.nextafter(0.25, 0.0), 0.25)
+
+    @pytest.mark.parametrize("u", [[0.25, -1.0, 0.25], [1e6 + 0.1, 1e6 + 1.1], [0.0] * 5])
+    def test_seed_at_levels_0_and_n_is_the_corner(self, u):
+        # g <= n everywhere, so at k = n the seed takes the end below every
+        # breakpoint, where every digit is one; at k = 0 every digit is zero
+        points = oracle._breakpoints(u)
+        assert oracle._seed(u, points, 0.0) == [oracle._ZERO] * len(u)
+        assert oracle._seed(u, points, float(len(u))) == [oracle._ONE] * len(u)
+        assert oracle._theta_window(u, points, float(len(u)), 0.0)[0] == -math.inf
+
+    def test_window_holds_every_theta_within_r_of_k(self):
+        # checked at every breakpoint, at each finite end and at the floats
+        # on both sides of it, in exact arithmetic
+        rng = np.random.default_rng(52)
+        for u in bracket_inputs(53, 300):
+            n, points = len(u), oracle._breakpoints(u)
+            for k in range(n + 1):
+                for r in (0.0, 2.0**-52 * (n + 2) ** 2 * 3.0, float(rng.uniform(0, 2))):
+                    lo, hi = oracle._theta_window(u, points, float(k), r)
+                    thetas = list(points)
+                    for end in (lo, hi):
+                        if math.isfinite(end):
+                            thetas += [math.nextafter(end, -math.inf), end,
+                                       math.nextafter(end, math.inf)]
+                    for theta in thetas:
+                        if abs(Fraction(oracle._clip_sum(u, theta)) - k) <= Fraction(r):
+                            assert lo < theta < hi
+
+    def test_clip_sums_per_call_are_few(self, monkeypatch):
+        # the breakpoint search takes ~19 per call on this pool; three
+        # 40-step bisections per call took ~114
+        calls = []
+        clip_sum = oracle._clip_sum
+
+        def counted(u, theta):
+            calls.append(None)
+            return clip_sum(u, theta)
+        monkeypatch.setattr(oracle, "_clip_sum", counted)
+        rng = np.random.default_rng(54)
+        for _ in range(60):
+            spec = HypersimplexSpec(MAX_ORACLE_N, int(rng.integers(0, MAX_ORACLE_N + 1)),
+                                    float(rng.choice([0.1, 1.0, 10.0])))
+            brute_force_project(rng.normal(0, 3, MAX_ORACLE_N), spec)
+        assert len(calls) / 60 <= 48
 
 
 class TestExhaustiveTopk:
