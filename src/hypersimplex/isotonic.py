@@ -2,10 +2,11 @@
 
 PAV solves min ||v - w||^2 over nonincreasing w by sweeping once and
 pooling adjacent blocks whose means violate the order, O(n) amortized.
-It doubles as the optimality certifier for the sorted-input route of the
+``project_sorted_via_isotonic`` uses it for the sorted-input route of the
 hypersimplex projection: adding a monotonicity constraint to the
-projection of a sorted vector does not change the solution, and
-``project_sorted_via_isotonic`` realizes that reduction.
+projection of a sorted vector does not change the solution. On sorted
+input PAV pools nothing and theta comes from ``project``'s own kernel, so
+the route checks that reduction, not the kernel.
 """
 
 from dataclasses import dataclass

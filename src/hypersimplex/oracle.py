@@ -4,8 +4,8 @@ Everything here trades speed for independence: the projection oracle
 searches all 3^n boundary patterns instead of sorting, the top-k oracle
 tries every k-subset, and the Jacobian oracle uses finite differences.
 None of them share solver code with the production paths, so agreement
-between the two is strong evidence of correctness. Test-only; never
-imported by the fast paths.
+between the two is strong evidence of correctness. The tests, the verify
+command and the benchmark import them; the fast paths never do.
 
 The projection oracle is an exact branch and bound on Python floats. It
 scores first the pattern at a threshold where g(theta) = sum(clip(u - theta,
@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import (
-    HypersimplexSpec,
     _as_cardinality,
     _as_score_vector,
-    _check_running_sums,
+    _as_spec,
+    _prefix_sums,
+    _sort_desc,
     project,
 )
 
@@ -158,9 +159,7 @@ def brute_force_project(x, spec):
     winner's digits and theta. Refuses n > MAX_ORACLE_N, x / tau whose running
     sums overflow float64, and |x / tau| >= 2^53.
     """
-    if not isinstance(spec, HypersimplexSpec):
-        raise TypeError("spec must be a HypersimplexSpec")
-    if spec.n > MAX_ORACLE_N:
+    if _as_spec(spec).n > MAX_ORACLE_N:
         raise ValueError(
             f"oracle enumerates 3^n patterns; n={spec.n} exceeds the cap of {MAX_ORACLE_N}"
         )
@@ -168,7 +167,7 @@ def brute_force_project(x, spec):
     u = x / spec.tau
     # every pattern sums u over its interior set, so reject u whose sums
     # overflow, at every k, with project's ValueError
-    _check_running_sums(u)
+    _prefix_sums(_sort_desc(u))
     # from 2^53 on, u - 1 rounds to u, so patterns tie and the least
     # violating one can be wrong
     u_max = float(np.max(np.abs(u)))

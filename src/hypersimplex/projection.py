@@ -52,6 +52,13 @@ def _as_positive(value, name):
     return float(value)
 
 
+def _as_finite(value, name):
+    """value as a Python float, if it is a finite real number (not a bool)."""
+    if not (_is_real(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _as_count(value, name, least):
     """value as a Python int; anything but an integer >= least (bools, floats,
     strings and None included) is rejected with name in the message."""
@@ -79,6 +86,13 @@ class HypersimplexSpec:
         object.__setattr__(self, "n", _as_count(self.n, "n", 1))
         object.__setattr__(self, "k", _as_cardinality(self.k, self.n))
         object.__setattr__(self, "tau", _as_positive(self.tau, "tau"))
+
+
+def _as_spec(spec):
+    """spec itself, if it is a HypersimplexSpec (checked when built)."""
+    if not isinstance(spec, HypersimplexSpec):
+        raise TypeError("spec must be a HypersimplexSpec")
+    return spec
 
 
 @dataclass
@@ -109,6 +123,8 @@ class ProjectionResult:
 
 
 def _as_score_vector(x, spec=None):
+    if spec is not None:
+        _as_spec(spec)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {x.shape}")
@@ -166,13 +182,6 @@ def _prefix_sums(v):
     if not math.isfinite(prefix[-1]):
         raise ValueError(_RUNNING_SUM_OVERFLOW)
     return prefix
-
-
-def _check_running_sums(u):
-    """Raise project's ValueError when the running sums of u sorted
-    descending overflow float64: the inputs project rejects, for the
-    solvers that never form those sums."""
-    _prefix_sums(_sort_desc(u))
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +407,16 @@ def project(x, spec):
     it. That split is the only solver choice, and both give the same theta
     to the bit. O(n log n) total, dominated by the value sort.
 
-    Raises ValueError for a score vector that is not 1-D of length n, holds
-    NaN or Inf, or whose x / tau or running sums overflow float64. The
-    shape is checked up front. For 0 < k < n the other checks ride on the
-    solve: the last running sum of the sorted x / tau is non-finite exactly
-    when one of them fails, and only then does ``_as_score_vector`` run, so
-    the messages and their order are those of every other entry point.
+    Raises TypeError if spec is not a HypersimplexSpec, and ValueError for
+    a score vector that is not 1-D of length n, holds NaN or Inf, or whose
+    x / tau or running sums overflow float64. The spec and the shape are
+    checked up front. For 0 < k < n the other checks ride on the solve: the
+    last running sum of the sorted x / tau is non-finite exactly when one
+    of them fails, and only then does ``_as_score_vector`` run, so the
+    messages and their order are those of every other entry point.
     """
+    n, k, tau = _as_spec(spec).n, spec.k, spec.tau
     x = np.asarray(x, dtype=np.float64)
-    n, k, tau = spec.n, spec.k, spec.tau
     if x.shape != (n,) or k == 0 or k == n:
         # a wrong shape always fails these checks; the corners read no
         # running sum, so they need all of them
@@ -466,7 +476,7 @@ def project_bisect(x, spec):
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
-    _check_running_sums(u)
+    _prefix_sums(_sort_desc(u))  # project's ValueError if a running sum overflows
     k = float(spec.k)
     lo = float(np.min(u)) - 1.0  # clip sum = n here
     hi = float(np.max(u))  # clip sum = 0 here

@@ -27,7 +27,7 @@ from .losses import (
     squared_loss,
     zero_one_loss,
 )
-from .projection import _as_count, _as_positive, _is_integer, _is_real
+from .projection import _as_count, _as_finite, _as_positive, _is_integer
 
 LOSS_NAMES = ("ce", "hinge", "mse", "hypersimplex")
 
@@ -320,19 +320,21 @@ def load_fashion_mnist(data_dir, m_train=6000, m_test=1000):
 def make_synthetic(num_classes, m, d, separation, seed, m_train=None):
     """Gaussian blobs: class means at separation * random unit directions,
     unit covariance; deterministic per seed. The first m_train examples
-    (default 80%) form the train split."""
+    (default 80%) form the train split. separation must be a finite real
+    number (not a bool); nothing is drawn before every argument passes."""
     num_classes = _as_count(num_classes, "num_classes", 2)
     m = _as_count(m, "m", 1)
     d = _as_count(d, "d", 1)
     rng = np.random.default_rng(_as_count(seed, "seed", 0))
-    dirs = rng.standard_normal((num_classes, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    labels = rng.integers(0, num_classes, size=m)
-    features = separation * dirs[labels] + rng.standard_normal((m, d))
     if m_train is None:
         m_train = int(0.8 * m)
     if not (_is_integer(m_train) and 0 < m_train <= m):
         raise ValueError(f"m_train must lie in (0, {m}], got {m_train}")
+    separation = _as_finite(separation, "separation")
+    dirs = rng.standard_normal((num_classes, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    labels = rng.integers(0, num_classes, size=m)
+    features = separation * dirs[labels] + rng.standard_normal((m, d))
     return Dataset(
         name="synthetic",
         features=features,
@@ -359,7 +361,8 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     best value is kept. The shuffle and the init share one seeded
     generator, so identical arguments reproduce the record exactly. A
     non-finite loss or parameter marks the run failed and stops it instead
-    of raising.
+    of raising. tau and lr must be positive, finite real numbers (not
+    bools), for every loss; they are checked before the model is built.
     """
     if loss_name not in LOSS_NAMES:
         raise ValueError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
@@ -370,6 +373,7 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     hidden = _as_count(hidden, "hidden", 1)
     if dataset.m_test < 1:
         raise ValueError("dataset has an empty test split")
+    tau, lr = _as_positive(tau, "tau"), _as_positive(lr, "lr")
     rng = np.random.default_rng(seed)
     X_train = dataset.features[dataset.train_idx]
     y_train = dataset.labels[dataset.train_idx]
@@ -420,8 +424,8 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
         loss=loss_name,
         batch=int(batch_size),
         seed=seed,
-        tau=float(tau),
-        lr=float(lr),
+        tau=tau,
+        lr=lr,
         epochs=epochs,
         best_test_acc=float(best_acc),
         final_train_loss=float(final_train_loss),
@@ -471,9 +475,7 @@ class SweepConfig:
             raise ValueError("need at least one seed")
         self.tau = _as_positive(self.tau, "tau")
         self.lr = _as_positive(self.lr, "lr")
-        sep = self.separation
-        if not (_is_real(sep) and math.isfinite(sep)):
-            raise ValueError(f"separation must be a finite number, got {sep!r}")
+        self.separation = _as_finite(self.separation, "separation")
         for name in ("data_dir", "out_csv"):
             if not isinstance(getattr(self, name), (str, os.PathLike)):
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
@@ -508,8 +510,11 @@ def sweep(config):
 
     Cells are independent (each owns its RNG via its seed) so they could
     run in parallel; this loop runs them in deterministic grid order and
-    the returned list is sorted the same way regardless.
+    the returned list is sorted the same way regardless. config must be a
+    SweepConfig.
     """
+    if not isinstance(config, SweepConfig):
+        raise TypeError("config must be a SweepConfig")
     dataset = _build_dataset(config)
     for batch in config.batches:  # fail before the first cell trains
         if not 1 <= batch <= dataset.m_train:

@@ -52,14 +52,13 @@ def _draws(num, seed):
         yield rng
 
 
-def _random_spec(rng, n, taus):
+def _random_instance(rng, n_hi, taus):
+    """(spec, x): n in [2, n_hi], k in [0, n], tau from taus, then x ~
+    N(0, 3^2)^n, drawn in that order."""
+    n = int(rng.integers(2, n_hi + 1))
     k = int(rng.integers(0, n + 1))
     tau = float(taus[rng.integers(0, len(taus))])
-    return HypersimplexSpec(n, k, tau)
-
-
-def _random_x(rng, n, scale=3.0):
-    return rng.normal(0.0, scale, n)
+    return HypersimplexSpec(n, k, tau), rng.normal(0.0, 3.0, n)
 
 
 def check_oracle_agreement(num=1000, seed=0, n_max=12, project_fn=project):
@@ -70,9 +69,7 @@ def check_oracle_agreement(num=1000, seed=0, n_max=12, project_fn=project):
     worst_y = 0.0
     worst_theta = 0.0
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, n_max + 1))
-        spec = _random_spec(rng, n, (0.1, 1.0, 10.0))
-        x = _random_x(rng, n)
+        spec, x = _random_instance(rng, n_max, (0.1, 1.0, 10.0))
         res = project_fn(x, spec)
         cert = oracle.brute_force_project(x, spec)
         worst_y = max(worst_y, float(np.max(np.abs(res.y - cert.y))))
@@ -90,9 +87,8 @@ def check_feasibility(num=10000, seed=1, project_fn=project):
     worst = 0.0
     box_ok = True
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, 257))
-        spec = _random_spec(rng, n, (0.1, 0.5, 1.0, 2.0, 10.0))
-        y = project_fn(_random_x(rng, n), spec).y
+        spec, x = _random_instance(rng, 256, (0.1, 0.5, 1.0, 2.0, 10.0))
+        y = project_fn(x, spec).y
         worst = max(worst, abs(float(y.sum()) - spec.k))
         box_ok = box_ok and bool(np.all(y >= 0.0) and np.all(y <= 1.0))
     passed = worst <= 1e-9 and box_ok
@@ -106,9 +102,7 @@ def check_order_preservation(num=10000, seed=2, project_fn=project):
     """x_i >= x_j implies y_i >= y_j, checked over all pairs."""
     inversions = 0
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, 17))
-        spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
-        x = _random_x(rng, n)
+        spec, x = _random_instance(rng, 16, (0.5, 1.0, 2.0))
         y = project_fn(x, spec).y
         bad = (x[:, None] >= x[None, :]) & (y[:, None] < y[None, :] - 1e-12)
         inversions += int(np.count_nonzero(bad))
@@ -122,9 +116,7 @@ def check_translation_invariance(num=2000, seed=3, project_fn=project):
     """Adding c to every score leaves y unchanged (theta absorbs c/tau)."""
     worst = 0.0
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, 65))
-        spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
-        x = _random_x(rng, n)
+        spec, x = _random_instance(rng, 64, (0.5, 1.0, 2.0))
         c = float(rng.uniform(-50.0, 50.0))
         y0 = project_fn(x, spec).y
         y1 = project_fn(x + c, spec).y
@@ -140,10 +132,8 @@ def check_lipschitz(num=10000, seed=4, project_fn=project):
     violations = 0
     worst = -np.inf
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, 33))
-        spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
-        x = _random_x(rng, n)
-        z = x + rng.normal(0.0, 10.0 ** rng.uniform(-3, 1), n)
+        spec, x = _random_instance(rng, 32, (0.5, 1.0, 2.0))
+        z = x + rng.normal(0.0, 10.0 ** rng.uniform(-3, 1), spec.n)
         dy = float(np.linalg.norm(project_fn(x, spec).y - project_fn(z, spec).y))
         bound = float(np.linalg.norm(x - z)) / spec.tau
         excess = dy - bound
@@ -160,9 +150,7 @@ def check_solver_agreement(num=10000, seed=5, project_fn=project):
     """Breakpoint-scan solver vs the independent bisection solver."""
     worst = 0.0
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, 33))
-        spec = _random_spec(rng, n, (0.1, 1.0, 10.0))
-        x = _random_x(rng, n)
+        spec, x = _random_instance(rng, 32, (0.1, 1.0, 10.0))
         ya = project_fn(x, spec).y
         yb = project_bisect(x, spec).y
         worst = max(worst, float(np.max(np.abs(ya - yb))))
@@ -176,10 +164,8 @@ def check_permutation_equivariance(num=2000, seed=6, project_fn=project):
     """project(P x).y equals P project(x).y."""
     worst = 0.0
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, 65))
-        spec = _random_spec(rng, n, (0.5, 1.0, 2.0))
-        x = _random_x(rng, n)
-        p = rng.permutation(n)
+        spec, x = _random_instance(rng, 64, (0.5, 1.0, 2.0))
+        p = rng.permutation(spec.n)
         y = project_fn(x, spec).y
         yp = project_fn(x[p], spec).y
         worst = max(worst, float(np.max(np.abs(yp - y[p]))))
@@ -217,7 +203,7 @@ def check_hard_limit(num=2000, seed=8, project_fn=project):
     for rng in _draws(num, seed):
         n = int(rng.integers(2, 33))
         k = int(rng.integers(0, n + 1))
-        x = _random_x(rng, n)
+        x = rng.normal(0.0, 3.0, n)
         gap = float(np.min(np.diff(np.sort(x)))) if n > 1 else 1.0
         if gap < 1e-9:
             continue  # astronomically unlikely collision; skip rather than bias
@@ -235,13 +221,11 @@ def check_result_consistency(num=2000, seed=9, project_fn=project):
     """Partition and clip-form invariants of the returned result object."""
     bad = 0
     for rng in _draws(num, seed):
-        n = int(rng.integers(2, 65))
-        spec = _random_spec(rng, n, (0.1, 1.0, 10.0))
-        x = _random_x(rng, n)
+        spec, x = _random_instance(rng, 64, (0.1, 1.0, 10.0))
         res = project_fn(x, spec)
         u = x / spec.tau
         parts = np.concatenate((res.active, res.at_one, res.at_zero))
-        ok = np.array_equal(np.sort(parts), np.arange(n))
+        ok = np.array_equal(np.sort(parts), np.arange(spec.n))
         ok = ok and bool(np.all(u[res.at_one] - res.theta >= 1.0 - 1e-9))
         ok = ok and bool(np.all(u[res.at_zero] - res.theta <= 1e-9))
         ok = ok and bool(
@@ -320,7 +304,7 @@ def run_gradcheck(num=500, seed=0, tol=1e-5):
             k = int(rng.integers(1, n))
             tau = float((0.5, 1.0, 2.0)[rng.integers(0, 3)])
             spec = HypersimplexSpec(n, k, tau)
-            x = _random_x(rng, n)
+            x = rng.normal(0.0, 3.0, n)
             res = project(x, spec)
             if _boundary_margin(x / tau, res.theta) > 1e-3:
                 break

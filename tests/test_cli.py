@@ -466,6 +466,14 @@ class TestReportCommand:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_no_ce_or_hypersimplex_rows_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "runs.csv"
+        write_report_csv(path, [("mse", 32, s, 0.5) for s in range(3)])
+        code, out, err = run_cli(capsys, "report", "--csv", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: no ce/hypersimplex records to compare\n"
+
     def test_malformed_csv(self, capsys, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text("wrong,header\n1,2\n")

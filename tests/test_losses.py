@@ -57,16 +57,27 @@ class TestZeroOneLoss:
             zero_one_loss(np.zeros((2, 1)), np.array([0, 0]))
 
 
-@pytest.mark.parametrize("loss", [
+every_loss = pytest.mark.parametrize("loss", [
     zero_one_loss,
     squared_loss,
     cross_entropy_loss,
     hinge_loss,
     lambda scores, labels: hypersimplex_loss_multiclass(ClassBatch(scores, labels)),
 ], ids=["zero_one", "squared", "cross_entropy", "hinge", "hypersimplex_multiclass"])
+
+
+@every_loss
 def test_every_loss_rejects_an_empty_batch(loss):
     with pytest.raises(ValueError, match="empty batch"):
         loss(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
+@every_loss
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 1)])
+def test_every_loss_rejects_scores_that_are_not_a_matrix(loss, shape):
+    with pytest.raises(ValueError) as exc:
+        loss(np.zeros(shape), np.zeros(2, dtype=np.int64))
+    assert str(exc.value) == f"scores must be an n x C matrix, got shape {shape}"
 
 
 class TestSquaredLoss:
@@ -187,6 +198,12 @@ class TestHypersimplexLoss:
             hypersimplex_loss(np.array([1.0, 0.0]), np.array([0.5, 0.5]),
                               HypersimplexSpec(2, 1, 1.0))
 
+    @pytest.mark.parametrize("target", [[1.0, 0.0, 0.0], [[1.0, 0.0]], [[1.0], [0.0]]])
+    def test_rejects_target_of_the_wrong_shape(self, target):
+        with pytest.raises(ValueError) as exc:
+            hypersimplex_loss(np.array([1.0, 0.0]), target, HypersimplexSpec(2, 1, 1.0))
+        assert str(exc.value) == f"target has shape {np.shape(target)}, expected (2,)"
+
 
 def per_column_reference(logits, labels, tau, ks):
     """The multiclass loss built column by column from the binary loss with
@@ -243,6 +260,12 @@ class TestHypersimplexLossMulticlass:
         value, grad = per_column_reference(logits, labels, tau, ks)
         assert ev.value == value
         assert ev.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("batch", [np.zeros((2, 2)), (np.zeros((2, 2)), np.array([0, 1]))])
+    def test_rejects_what_is_not_a_class_batch(self, batch):
+        with pytest.raises(TypeError) as exc:
+            hypersimplex_loss_multiclass(batch)
+        assert str(exc.value) == "batch must be a ClassBatch"
 
     def test_zero_on_exactly_projectable_logits(self):
         # columns already sit at hypersimplex vertices far from the threshold

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypersimplex import (
     BOUNDARY_TOL,
     HypersimplexSpec,
     hard_topk,
+    hypersimplex_loss,
     project,
     project_bisect,
 )
 from hypersimplex.isotonic import project_sorted_via_isotonic
-from hypersimplex.oracle import brute_force_project
+from hypersimplex.oracle import brute_force_project, fd_jacobian
 from hypersimplex.projection import _prefix_sums, _theta_from_sorted_numpy
 
 
@@ -46,6 +48,28 @@ class TestHypersimplexSpec:
             HypersimplexSpec(3.0, 1, 1.0)
         with pytest.raises(ValueError):
             HypersimplexSpec(3, 1.5, 1.0)
+
+    @pytest.mark.parametrize("entry", [
+        project,
+        project_bisect,
+        project_sorted_via_isotonic,
+        brute_force_project,
+        fd_jacobian,
+        lambda x, spec: hypersimplex_loss(x, np.array([1.0, 0.0, 0.0, 0.0]), spec),
+    ], ids=["project", "project_bisect", "project_sorted_via_isotonic",
+            "brute_force_project", "fd_jacobian", "hypersimplex_loss"])
+    @pytest.mark.parametrize("spec", [
+        SimpleNamespace(n=4, k=7, tau=1.0),  # y = [1, 1, 1, 1], summing to 4
+        SimpleNamespace(n=4, k=2, tau=-1.0),  # the ranking reversed
+        (4, 2, 1.0),
+    ], ids=["k-above-n", "negative-tau", "tuple"])
+    @pytest.mark.parametrize("x", [[4.0, 3.0, 2.0, 1.0], [4.0, float("nan"), 2.0, 1.0]],
+                             ids=["finite", "nan"])
+    def test_every_entry_point_rejects_what_is_not_a_spec(self, entry, spec, x):
+        # before the score vector is looked at
+        with pytest.raises(TypeError) as exc:
+            entry(np.array(x), spec)
+        assert str(exc.value) == "spec must be a HypersimplexSpec"
 
 
 class TestHardTopk:

@@ -178,6 +178,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels must lie"):
             Dataset(**kwargs, train_idx=np.arange(3), test_idx=np.array([3]))
 
+    @pytest.mark.parametrize("labels", [np.array([0, 1, 0]), np.array([[0, 1, 0, 1]]),
+                                        np.zeros((4, 1), dtype=np.int64)])
+    def test_rejects_labels_of_the_wrong_shape(self, labels):
+        kwargs = {**self.base_kwargs(), "labels": labels}
+        with pytest.raises(ValueError) as exc:
+            Dataset(**kwargs, train_idx=np.arange(3), test_idx=np.array([3]))
+        assert str(exc.value) == f"labels have shape {labels.shape}, expected (4,)"
+
     @pytest.mark.parametrize("num_classes", [2.5, True, "3", -1])
     def test_rejects_num_classes_that_is_not_a_count(self, num_classes):
         kwargs = {**self.base_kwargs(), "num_classes": num_classes}
@@ -225,6 +233,23 @@ class TestMakeSynthetic:
         with pytest.raises(ValueError) as exc:
             make_synthetic(*args)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("separation", [math.nan, math.inf, -math.inf, True, "x", None,
+                                            -2**1024])
+    def test_rejects_separation_that_is_not_a_finite_number(self, separation):
+        with pytest.raises(ValueError) as exc:
+            make_synthetic(3, 100, 5, separation, 0)
+        assert str(exc.value) == f"separation must be a finite number, got {separation!r}"
+
+    def test_checks_m_train_before_separation(self):
+        with pytest.raises(ValueError, match="m_train must lie in"):
+            make_synthetic(3, 100, 5, math.nan, 0, m_train=0)
+
+    @pytest.mark.parametrize("separation", [2, np.float32(1.5), np.int64(-3)])
+    def test_separation_of_any_real_type_gives_the_float_features(self, separation):
+        ref = make_synthetic(3, 100, 5, float(separation), 0)
+        ds = make_synthetic(3, 100, 5, separation, 0)
+        assert ds.features.tobytes() == ref.features.tobytes()
 
     def centroid_accuracy(self, ds):
         Xtr, ytr = ds.features[ds.train_idx], ds.labels[ds.train_idx]
@@ -434,6 +459,24 @@ class TestTrainOne:
             train_one(seed, sanity_dataset, "ce", 32, 1.0, 0.1, epochs, hidden=hidden)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("loss_name", LOSS_NAMES)
+    @pytest.mark.parametrize("name", ["tau", "lr"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1, 0, True, "x", None])
+    def test_rejects_tau_and_lr_before_building_the_model(
+            self, sanity_dataset, monkeypatch, loss_name, name, bad):
+        def build(*args):
+            pytest.fail("the model was built")
+
+        monkeypatch.setattr(MlpModel, "init", build)
+        kwargs = {"tau": 1.0, "lr": 0.1, name: bad}
+        with pytest.raises(ValueError) as exc:
+            train_one(0, sanity_dataset, loss_name, 32, epochs=1, **kwargs)
+        assert str(exc.value) == f"{name} must be positive and finite, got {bad!r}"
+
+    def test_checks_counts_before_tau_and_lr(self, sanity_dataset):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            train_one(0, sanity_dataset, "ce", 32, math.nan, -1.0, -1)
+
     def test_rejects_empty_test_split(self):
         ds = make_synthetic(3, 100, 5, 2.0, seed=0, m_train=100)
         with pytest.raises(ValueError, match="empty test split"):
@@ -616,6 +659,12 @@ class TestSweepConfig:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("config", [{"losses": ["ce"]}, None, "runs.json"])
+    def test_rejects_what_is_not_a_sweep_config(self, config):
+        with pytest.raises(TypeError) as exc:
+            sweep(config)
+        assert str(exc.value) == "config must be a SweepConfig"
+
     def test_runs_grid_in_deterministic_order(self):
         cfg = SweepConfig(
             losses=("ce", "mse"), batches=(16, 32), seeds=(0, 1),
