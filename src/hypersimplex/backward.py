@@ -8,19 +8,16 @@ chain-rule factor is applied only in ``loss_grad_from_residual``, keeping
 the Jacobian itself a pure combinatorial object.
 """
 
-import math
-
 import numpy as np
 
-from .projection import ProjectionResult
+from .projection import ProjectionResult, _all_finite
 
 
 def _as_tangent(v, n):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (n,):
         raise ValueError(f"tangent has shape {v.shape}, expected ({n},)")
-    # min and max are NaN if any entry is, and infinite if any entry is
-    if not (math.isfinite(np.minimum.reduce(v)) and math.isfinite(np.maximum.reduce(v))):
+    if not _all_finite(v):
         raise ValueError("tangent contains NaN or Inf")
     return v
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import _center_on_active, loss_grad_from_residual
-from .projection import HypersimplexSpec, _as_positive, project
+from .projection import HypersimplexSpec, _all_finite, _as_positive, project
 
 
 @dataclass
@@ -34,17 +34,23 @@ def _as_scores_labels(scores, labels):
         raise ValueError("need at least one sample, got an empty batch")
     if C < 2:
         raise ValueError(f"need at least 2 classes, got {C}")
-    if not np.isfinite(scores).all():
+    if not _all_finite(scores):
         raise ValueError("scores contain NaN or Inf")
+    return scores, _as_labels(labels, n, C), n, C
+
+
+def _as_labels(labels, n, C):
+    """labels as int64 of shape (n,) in [0, C), else ValueError "labels have
+    shape ...", "labels must be integers, got dtype ..." or "labels must lie in ..."."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"labels have shape {labels.shape}, expected ({n},)")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
-    if lo < 0 or hi >= C:
-        raise ValueError(f"labels must lie in [0, {C}), got range [{lo}, {hi}]")
-    return scores, labels.astype(np.int64), n, C
+    if n and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= C):
+        raise ValueError(f"labels must lie in [0, {C}), "
+                         f"got range [{labels.min()}, {labels.max()}]")
+    return labels.astype(np.int64)
 
 
 def _one_hot(labels, num_classes):

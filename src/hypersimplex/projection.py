@@ -67,6 +67,12 @@ def _as_count(value, name, least):
     return int(value)
 
 
+def _all_finite(a):
+    """True unless an entry of the array a is NaN or infinite (an empty a
+    passes); each caller raises its own "... NaN or Inf" message."""
+    return np.isfinite(a).all()
+
+
 @dataclass(frozen=True)
 class HypersimplexSpec:
     """Dimension n, target cardinality k and temperature tau of a projection.
@@ -130,8 +136,8 @@ def _as_score_vector(x, spec=None):
         raise ValueError(f"expected a 1-D score vector, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("score vector must be non-empty")
-    # min and max are NaN if any entry is, and infinite if any entry is;
-    # the reduce ufuncs skip ndarray.min/max's Python wrappers
+    # not _all_finite, because the overflow check below reads these bounds:
+    # min and max are NaN if any entry is, and infinite if any entry is
     lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("score vector contains NaN or Inf")

@@ -21,13 +21,14 @@ import numpy as np
 
 from .losses import (
     ClassBatch,
+    _as_labels,
     cross_entropy_loss,
     hinge_loss,
     hypersimplex_loss_multiclass,
     squared_loss,
     zero_one_loss,
 )
-from .projection import _as_count, _as_finite, _as_positive, _is_integer
+from .projection import _all_finite, _as_count, _as_finite, _as_positive, _is_integer
 
 LOSS_NAMES = ("ce", "hinge", "mse", "hypersimplex")
 
@@ -38,7 +39,8 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Feature matrix, integer labels and a train/test index split."""
+    """Finite features, integer labels in [0, num_classes) and a train/test
+    index split of the examples; checked when built, labels as a loss checks them."""
 
     name: str
     features: np.ndarray
@@ -50,10 +52,9 @@ class Dataset:
     def __post_init__(self):
         self.num_classes = _as_count(self.num_classes, "num_classes", 0)
         m = self.features.shape[0]
-        if self.labels.shape != (m,):
-            raise ValueError(f"labels have shape {self.labels.shape}, expected ({m},)")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        _as_labels(self.labels, m, self.num_classes)
+        if not _all_finite(self.features):
+            raise ValueError("features contain NaN or Inf")
         combined = np.concatenate((self.train_idx, self.test_idx))
         if np.unique(combined).size != combined.size:
             raise ValueError("train and test splits overlap")
@@ -121,13 +122,7 @@ class MlpModel:
         self.b2 -= lr * db2
 
     def params_finite(self):
-        # an array's min and max are NaN if any entry is, and infinite if
-        # any entry is; the reduce ufuncs skip np.all/np.isfinite's temporaries
-        for p in (self.W1, self.b1, self.W2, self.b2):
-            if not (math.isfinite(np.minimum.reduce(p, axis=None))
-                    and math.isfinite(np.maximum.reduce(p, axis=None))):
-                return False
-        return True
+        return all(map(_all_finite, (self.W1, self.b1, self.W2, self.b2)))
 
 
 def loss_layer(name, scores, labels, tau):
@@ -268,8 +263,8 @@ def load_idx(images_path, labels_path, limit=None, num_classes=None, name="idx")
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"
         )
     images, labels = images[:limit], labels[:limit]
-    m = images.shape[0]
-    features = images.reshape(m, -1).astype(np.float64) / 255.0
+    m, rows, cols = images.shape  # reshape(0, -1) cannot infer a width
+    features = images.reshape(m, rows * cols).astype(np.float64) / 255.0
     labels = labels.astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if m else 0
@@ -350,8 +345,11 @@ def make_synthetic(num_classes, m, d, separation, seed, m_train=None):
 # ---------------------------------------------------------------------------
 
 
-def _accuracy(model, X, labels):
-    return 1.0 - zero_one_loss(model.scores(X), labels)
+def _as_batch_size(batch, m_train):
+    """batch as an int in [1, m_train], else ValueError("batch_size must lie in ...")."""
+    if not (_is_integer(batch) and 1 <= batch <= m_train):
+        raise ValueError(f"batch_size must lie in [1, {m_train}], got {batch}")
+    return int(batch)
 
 
 def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
@@ -366,8 +364,7 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     """
     if loss_name not in LOSS_NAMES:
         raise ValueError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
-    if not (_is_integer(batch_size) and 1 <= batch_size <= dataset.m_train):
-        raise ValueError(f"batch_size must lie in [1, {dataset.m_train}], got {batch_size}")
+    batch_size = _as_batch_size(batch_size, dataset.m_train)
     seed = _as_count(seed, "seed", 0)
     epochs = _as_count(epochs, "epochs", 0)
     hidden = _as_count(hidden, "hidden", 1)
@@ -381,9 +378,9 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     y_test = dataset.labels[dataset.test_idx]
     model = MlpModel.init(X_train.shape[1], hidden, dataset.num_classes, rng)
 
-    best_acc = _accuracy(model, X_test, y_test)
+    best_acc = 1.0 - zero_one_loss(model.scores(X_test), y_test)
     failed = False
-    # divergence is detected below via isfinite checks, so FP overflow along
+    # divergence is detected below via _all_finite checks, so FP overflow along
     # the way is expected and must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
@@ -391,7 +388,7 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
             for start in range(0, dataset.m_train, batch_size):
                 idx = perm[start : start + batch_size]
                 scores, cache = model.forward(X_train[idx])
-                if not np.all(np.isfinite(scores)):
+                if not _all_finite(scores):
                     failed = True
                     break
                 ev = loss_layer(loss_name, scores, y_train[idx], tau)
@@ -406,7 +403,7 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
                 break
             # finite params can still overflow the forward, so guard the eval
             test_scores = model.scores(X_test)
-            if not np.all(np.isfinite(test_scores)):
+            if not _all_finite(test_scores):
                 failed = True
                 break
             best_acc = max(best_acc, 1.0 - zero_one_loss(test_scores, y_test))
@@ -415,14 +412,14 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
         final_train_loss = float("nan")
         if not failed:
             final_scores = model.scores(X_train)
-            if np.all(np.isfinite(final_scores)):
+            if _all_finite(final_scores):
                 value = loss_layer(loss_name, final_scores, y_train, tau).value
                 if math.isfinite(value):
                     final_train_loss = value
     return RunRecord(
         dataset=dataset.name,
         loss=loss_name,
-        batch=int(batch_size),
+        batch=batch_size,
         seed=seed,
         tau=tau,
         lr=lr,
@@ -517,8 +514,7 @@ def sweep(config):
         raise TypeError("config must be a SweepConfig")
     dataset = _build_dataset(config)
     for batch in config.batches:  # fail before the first cell trains
-        if not 1 <= batch <= dataset.m_train:
-            raise ValueError(f"batch_size must lie in [1, {dataset.m_train}], got {batch}")
+        _as_batch_size(batch, dataset.m_train)
     records = []
     for loss_name in config.losses:
         for batch in config.batches:

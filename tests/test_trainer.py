@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from hypersimplex import ClassBatch
 from hypersimplex.trainer import (
     CSV_HEADER,
     LOSS_NAMES,
@@ -77,6 +78,13 @@ class TestLoadIdx:
         ds = load_idx(img_path, lab_path, limit=2)
         assert ds.features.shape == (2, 6)
         np.testing.assert_array_equal(ds.labels, labels[:2])
+
+    def test_limit_zero_gives_an_empty_dataset(self, idx_pair):
+        # no labels to range-check and no features to find non-finite
+        img_path, lab_path, _, _ = idx_pair
+        ds = load_idx(img_path, lab_path, limit=0)
+        assert ds.features.shape == (0, 6) and ds.labels.shape == (0,)
+        assert ds.num_classes == 0 and ds.m_train == 0 and ds.m_test == 0
 
     @pytest.mark.parametrize("limit", [-1, 2.5, True, "2"])
     def test_rejects_limit_that_is_not_a_count(self, idx_pair, limit):
@@ -192,6 +200,38 @@ class TestDataset:
         with pytest.raises(ValueError) as exc:
             Dataset(**kwargs, train_idx=np.arange(3), test_idx=np.array([3]))
         assert str(exc.value) == f"num_classes must be an integer >= 0, got {num_classes!r}"
+
+    @pytest.mark.parametrize("labels, feature, message", [
+        (np.array([0.0, 1.5] * 20), 0.0, "labels must be integers, got dtype float64"),
+        *((np.array([0, 1] * 20), bad, "features contain NaN or Inf")
+          for bad in (math.nan, math.inf, -math.inf)),
+    ])
+    def test_rejects_float_labels_and_non_finite_features_before_building_a_model(
+            self, monkeypatch, labels, feature, message):
+        def build(*args):
+            pytest.fail("the model was built")
+
+        monkeypatch.setattr(MlpModel, "init", build)
+        features = np.zeros((40, 3))
+        features[17, 2] = feature
+        with pytest.raises(ValueError) as exc:
+            ds = Dataset("d", features, labels, 2, np.arange(32), np.arange(32, 40))
+            train_one(0, ds, "ce", 8, 1.0, 0.1, 1)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 1, 0]),  # wrong shape
+        np.array([0.0, 1.0, 0.0, 1.0]),  # float dtype
+        np.array([0, 1, 2, 1]),  # out of range
+        np.array([0, -1, 1, 1]),
+    ])
+    def test_rejects_bad_labels_with_the_message_of_the_losses(self, labels):
+        with pytest.raises(ValueError) as batch_exc:
+            ClassBatch(np.zeros((4, 2)), labels)
+        with pytest.raises(ValueError) as dataset_exc:
+            Dataset(**{**self.base_kwargs(), "labels": labels},
+                    train_idx=np.arange(3), test_idx=np.array([3]))
+        assert str(dataset_exc.value) == str(batch_exc.value)
 
 
 class TestMakeSynthetic:
