@@ -2,11 +2,10 @@
 
 PAV solves min ||v - w||^2 over nonincreasing w by sweeping once and
 pooling adjacent blocks whose means violate the order, O(n) amortized.
-``project_sorted_via_isotonic`` uses it for the sorted-input route of the
-hypersimplex projection: adding a monotonicity constraint to the
-projection of a sorted vector does not change the solution. On sorted
-input PAV pools nothing and theta comes from ``project``'s own kernel, so
-the route checks that reduction, not the kernel.
+``project_sorted_via_isotonic`` is the hypersimplex projection of input
+already sorted nonincreasing: the monotonicity constraint is inactive
+there, so it solves on its input with ``project``'s own kernel, with no
+sort and no fit, and checks that reduction, not the kernel.
 """
 
 from dataclasses import dataclass
@@ -63,11 +62,11 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
     """Hypersimplex projection of an already-sorted (nonincreasing) vector.
 
     Solves min ||x/tau - y||^2 over {y in [0,1]^n, sum(y) = k, y
-    nonincreasing}. The monotonicity constraint is inactive for sorted
-    input, so the minimizer is the theta-shifted clip of the isotonic fit
-    of x/tau (the fit is the identity here; running it keeps the reduction
-    explicit and costs O(n)). Equals the general projection on sorted
-    input. Rejects unsorted input.
+    nonincreasing}, the theta-shifted clip of the isotonic fit of x/tau.
+    No fit is run: PAV merges a block only when its mean rises above its
+    left neighbour's, which never happens on a nonincreasing vector, so
+    the fit is x/tau itself, bit for bit. Equals the general projection on
+    sorted input. Rejects unsorted input.
     """
     x = _as_score_vector(x_sorted_desc, spec)
     if np.any(np.diff(x) > 0.0):
@@ -75,8 +74,6 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
     u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
-    fitted, _, _ = _pav_decreasing(u)
-    # the fit is nonincreasing, so the numpy kernel solves on it as it
-    # stands, at every n (the walk would give the same bits)
-    theta = _theta_from_sorted_numpy(fitted, _prefix_sums(fitted), float(spec.k))
-    return np.clip(fitted - theta, 0.0, 1.0)
+    # u is sorted already; at every n the numpy kernel gives project's bits
+    theta = _theta_from_sorted_numpy(u, _prefix_sums(u), float(spec.k))
+    return np.clip(u - theta, 0.0, 1.0)

@@ -33,14 +33,21 @@ from .projection import _all_finite, _as_count, _as_finite, _as_positive, _is_in
 LOSS_NAMES = ("ce", "hinge", "mse", "hypersimplex")
 
 
+def _as_loss_name(name):
+    """name if it is one of LOSS_NAMES, else ValueError("unknown loss ...")."""
+    if name not in LOSS_NAMES:
+        raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+    return name
+
+
 class IdxFormatError(ValueError):
     """Raised on malformed IDX files; the message carries a byte offset."""
 
 
 @dataclass
 class Dataset:
-    """Finite features, integer labels in [0, num_classes) and a train/test
-    index split of the examples; checked when built, labels as a loss checks them."""
+    """Finite m x d features, labels as a loss checks them (integers in [0,
+    num_classes)) and an integer train/test index split; checked when built."""
 
     name: str
     features: np.ndarray
@@ -51,10 +58,15 @@ class Dataset:
 
     def __post_init__(self):
         self.num_classes = _as_count(self.num_classes, "num_classes", 0)
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be an m x d matrix, got shape {self.features.shape}")
         m = self.features.shape[0]
         _as_labels(self.labels, m, self.num_classes)
         if not _all_finite(self.features):
             raise ValueError("features contain NaN or Inf")
+        for name, idx in (("train_idx", self.train_idx), ("test_idx", self.test_idx)):
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"{name} must have an integer dtype, got {idx.dtype}")
         combined = np.concatenate((self.train_idx, self.test_idx))
         if np.unique(combined).size != combined.size:
             raise ValueError("train and test splits overlap")
@@ -131,15 +143,14 @@ def loss_layer(name, scores, labels, tau):
     The hypersimplex layer projects each class column over the batch with
     k_c taken from the batch's own label counts; tau applies to it alone.
     """
+    name = _as_loss_name(name)
     if name == "ce":
         return cross_entropy_loss(scores, labels)
     if name == "hinge":
         return hinge_loss(scores, labels)
     if name == "mse":
         return squared_loss(scores, labels)
-    if name == "hypersimplex":
-        return hypersimplex_loss_multiclass(ClassBatch.from_labels(scores, labels, tau=tau))
-    raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+    return hypersimplex_loss_multiclass(ClassBatch.from_labels(scores, labels, tau=tau))
 
 
 @dataclass
@@ -362,8 +373,7 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     of raising. tau and lr must be positive, finite real numbers (not
     bools), for every loss; they are checked before the model is built.
     """
-    if loss_name not in LOSS_NAMES:
-        raise ValueError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
+    loss_name = _as_loss_name(loss_name)
     batch_size = _as_batch_size(batch_size, dataset.m_train)
     seed = _as_count(seed, "seed", 0)
     epochs = _as_count(epochs, "epochs", 0)
@@ -461,8 +471,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a list of {what}, got {values!r}")
             setattr(self, name, tuple(values))
         for name in self.losses:
-            if name not in LOSS_NAMES:
-                raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+            _as_loss_name(name)
         for value in self.batches:
             if not _is_integer(value):
                 raise ValueError(f"batches must be integers, got {value!r}")

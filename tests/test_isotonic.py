@@ -44,6 +44,19 @@ class TestPavDecreasing:
         np.testing.assert_allclose(fit.fitted, [5.0, 4.0, 3.0], atol=1e-12)
         assert len(fit.blocks) == 3
 
+    def test_fit_of_nonincreasing_input_is_the_input_bit_for_bit(self):
+        # the fact project_sorted_via_isotonic rests on: it solves on its
+        # sorted input without running PAV
+        rng = np.random.default_rng(48)
+        for _ in range(600):
+            n = int(rng.integers(1, 80))
+            v = rng.choice([rng.normal(0, 2, n), np.round(rng.normal(0, 1, n) * 4) / 4,
+                            rng.choice([0.0, -0.0, 1.0, -1.0], n)])
+            v = np.sort(v)[::-1] / float(rng.choice([1e-3, 0.5, 1.0, 3.0]))
+            fit = pav_decreasing(v)
+            assert fit.fitted.tobytes() == v.tobytes()
+            assert len(fit.blocks) == n
+
     def test_constant_input(self):
         fit = pav_decreasing(np.array([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(fit.fitted, [1.0, 1.0, 1.0], atol=1e-12)
@@ -150,6 +163,17 @@ class TestProjectSortedViaIsotonic:
         y = project_sorted_via_isotonic(x, spec)
         monkeypatch.undo()
         np.testing.assert_array_equal(y, project(x, spec).y)
+
+    @pytest.mark.parametrize("n", [1, 40, 300])  # either side of the scalar walk's cut-off
+    def test_runs_no_pav_pass(self, monkeypatch, n):
+        def no_pav(v):
+            raise AssertionError("the isotonic route ran PAV on its sorted input")
+
+        monkeypatch.setattr("hypersimplex.isotonic._pav_decreasing", no_pav)
+        x = np.sort(np.round(np.random.default_rng(n).normal(0, 2, n) * 4) / 4)[::-1].copy()
+        for k in range(n + 1):
+            spec = HypersimplexSpec(n, k, 0.5)
+            assert project_sorted_via_isotonic(x, spec).tobytes() == project(x, spec).y.tobytes()
 
     def test_output_is_monotone_and_feasible(self):
         rng = np.random.default_rng(47)

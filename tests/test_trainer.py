@@ -233,6 +233,30 @@ class TestDataset:
                     train_idx=np.arange(3), test_idx=np.array([3]))
         assert str(dataset_exc.value) == str(batch_exc.value)
 
+    @pytest.mark.parametrize("features", [np.zeros(40), np.zeros((40, 3, 1)), np.float64(0.0)],
+                             ids=["1-D", "3-D", "0-D"])
+    def test_rejects_features_that_are_not_a_matrix(self, features):
+        with pytest.raises(ValueError) as exc:
+            Dataset("d", features, np.zeros(40, dtype=np.int64), 2,
+                    np.arange(32), np.arange(32, 40))
+        assert str(exc.value) == f"features must be an m x d matrix, got shape {features.shape}"
+
+    @pytest.mark.parametrize("train_idx, test_idx, message", [
+        (np.arange(32.0), np.arange(32.0, 40.0), "train_idx must have an integer dtype, got float64"),
+        (np.arange(32), np.arange(32.0, 40.0), "test_idx must have an integer dtype, got float64"),
+        (np.arange(40) < 32, np.arange(40) >= 32, "train_idx must have an integer dtype, got bool"),
+    ], ids=["float", "float-test", "bool-masks"])
+    def test_rejects_split_indices_without_an_integer_dtype(self, train_idx, test_idx, message):
+        with pytest.raises(ValueError) as exc:
+            Dataset("d", np.zeros((40, 3)), np.zeros(40, dtype=np.int64), 2, train_idx, test_idx)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.intp])
+    def test_accepts_split_indices_of_any_integer_dtype(self, dtype):
+        ds = Dataset("d", np.zeros((40, 3)), np.zeros(40, dtype=np.int64), 2,
+                     np.arange(32, dtype=dtype), np.arange(32, 40, dtype=dtype))
+        assert (ds.m_train, ds.m_test) == (32, 8)
+
 
 class TestMakeSynthetic:
     def test_deterministic_per_seed(self):
@@ -366,6 +390,17 @@ class TestLossLayer:
     def test_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown loss"):
             loss_layer("focal", np.zeros((2, 2)), np.array([0, 1]), 1.0)
+
+    def test_every_entry_point_names_an_unknown_loss_alike(self):
+        ds = make_synthetic(2, 40, 3, 2.0, seed=0)
+        calls = (lambda: loss_layer("focal", np.zeros((2, 2)), np.array([0, 1]), 1.0),
+                 lambda: train_one(0, ds, "focal", 8, 1.0, 0.1, 1),
+                 lambda: SweepConfig(losses=("ce", "focal")))
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == ("unknown loss 'focal'; expected one of "
+                                      "('ce', 'hinge', 'mse', 'hypersimplex')")
 
     def test_all_names_produce_grad_of_score_shape(self):
         rng = np.random.default_rng(93)
