@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import _as_score_vector, _degenerate, _prefix_sums, _theta_from_sorted_numpy
+from .projection import _as_scaled, _as_score_vector, _degenerate, _prefix_sums
+from .projection import _theta_from_sorted_numpy
 
 
 @dataclass
@@ -68,10 +69,9 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
     the fit is x/tau itself, bit for bit. Equals the general projection on
     sorted input. Rejects unsorted input.
     """
-    x = _as_score_vector(x_sorted_desc, spec)
-    if np.any(np.diff(x) > 0.0):
+    x, u = _as_scaled(x_sorted_desc, spec)
+    if np.any(x[1:] > x[:-1]):  # compared, since differences of finite x can overflow
         raise ValueError("input must be sorted nonincreasing")
-    u = x / spec.tau
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
     # u is sorted already; at every n the numpy kernel gives project's bits

@@ -32,6 +32,7 @@ import numpy as np
 
 from .projection import (
     _as_cardinality,
+    _as_scaled,
     _as_score_vector,
     _as_spec,
     _prefix_sums,
@@ -163,8 +164,7 @@ def brute_force_project(x, spec):
         raise ValueError(
             f"oracle enumerates 3^n patterns; n={spec.n} exceeds the cap of {MAX_ORACLE_N}"
         )
-    x = _as_score_vector(x, spec)
-    u = x / spec.tau
+    u = _as_scaled(x, spec)[1]
     # every pattern sums u over its interior set, so reject u whose sums
     # overflow, at every k, with project's ValueError
     _prefix_sums(_sort_desc(u))
@@ -255,7 +255,7 @@ def fd_jacobian(x, spec):
     differentiates with respect to x, so it carries the 1/tau factor that
     the analytic jvp (which differentiates with respect to x/tau) omits.
     """
-    x = _as_score_vector(x, spec)
+    x = _as_scaled(x, spec)[0]
     h = 1e-6  # step in x units
     J = np.empty((spec.n, spec.n))
     for j in range(spec.n):

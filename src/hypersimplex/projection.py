@@ -128,26 +128,30 @@ class ProjectionResult:
         return self.active.size == 0 and 0 < self.spec.k < self.spec.n
 
 
-def _as_score_vector(x, spec=None):
-    if spec is not None:
-        _as_spec(spec)
+def _as_score_vector(x):
+    """x as a float64 array, if it is 1-D, non-empty and finite."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("score vector must be non-empty")
-    # not _all_finite, because the overflow check below reads these bounds:
-    # min and max are NaN if any entry is, and infinite if any entry is
-    lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not _all_finite(x):
         raise ValueError("score vector contains NaN or Inf")
-    if spec is not None and x.size != spec.n:
+    return x
+
+
+def _as_scaled(x, spec):
+    """(x, x / spec.tau) for an entry point that takes a spec: TypeError unless spec is a
+    HypersimplexSpec, then ValueError unless x is a length-n score vector with finite x / tau."""
+    tau = _as_spec(spec).tau
+    x = _as_score_vector(x)
+    if x.size != spec.n:
         raise ValueError(f"score vector has length {x.size}, spec.n is {spec.n}")
     # x / tau (tau > 0) is monotone and correctly rounded, so it overflows
     # iff max|x| / tau does; Python floats divide without numpy's warning
-    if spec is not None and not math.isfinite(max(hi, -lo) / spec.tau):
+    if not math.isfinite(float(np.maximum.reduce(np.abs(x))) / tau):
         raise ValueError("x / tau overflows float64; raise tau or rescale x")
-    return x
+    return x, x / tau
 
 
 def hard_topk(x, k):
@@ -418,7 +422,7 @@ def project(x, spec):
     x / tau or running sums overflow float64. The spec and the shape are
     checked up front. For 0 < k < n the other checks ride on the solve: the
     last running sum of the sorted x / tau is non-finite exactly when one
-    of them fails, and only then does ``_as_score_vector`` run, so the
+    of them fails, and only then does ``_as_scaled`` run, so the
     messages and their order are those of every other entry point.
     """
     n, k, tau = _as_spec(spec).n, spec.k, spec.tau
@@ -426,8 +430,7 @@ def project(x, spec):
     if x.shape != (n,) or k == 0 or k == n:
         # a wrong shape always fails these checks; the corners read no
         # running sum, so they need all of them
-        x = _as_score_vector(x, spec)
-        return _degenerate(x / tau, spec)
+        return _degenerate(_as_scaled(x, spec)[1], spec)
     try:
         if n <= _WALK_MAX_N:
             # one list of Python floats, which divide without numpy's
@@ -459,7 +462,7 @@ def project(x, spec):
         # the last running sum is not finite. NaN or Inf in x and an
         # overflowing x / tau raise their own messages here; otherwise a
         # running sum overflowed
-        _as_score_vector(x, spec)
+        _as_scaled(x, spec)
         raise
     # ndarray.clip is the clip ufunc, which keeps -0.0; np.maximum and
     # np.minimum would turn it into +0.0
@@ -478,8 +481,7 @@ def project_bisect(x, spec):
     ``project``; used as an independent cross-check. Rejects the inputs
     ``project`` rejects, with the same ValueError.
     """
-    x = _as_score_vector(x, spec)
-    u = x / spec.tau
+    u = _as_scaled(x, spec)[1]
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec)
     _prefix_sums(_sort_desc(u))  # project's ValueError if a running sum overflows

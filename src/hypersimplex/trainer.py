@@ -14,6 +14,7 @@ import gzip
 import math
 import os
 import struct
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -47,7 +48,8 @@ class IdxFormatError(ValueError):
 @dataclass
 class Dataset:
     """Finite m x d features, labels as a loss checks them (integers in [0,
-    num_classes)) and an integer train/test index split; checked when built."""
+    num_classes)) and an integer train/test index split; checked when built.
+    features, train_idx and test_idx must be numpy arrays (TypeError)."""
 
     name: str
     features: np.ndarray
@@ -57,6 +59,10 @@ class Dataset:
     test_idx: np.ndarray
 
     def __post_init__(self):
+        for name in ("features", "train_idx", "test_idx"):
+            value = getattr(self, name)
+            if not isinstance(value, (np.ndarray, np.generic)):  # a numpy scalar fails below
+                raise TypeError(f"{name} must be a numpy array, got {type(value).__name__}")
         self.num_classes = _as_count(self.num_classes, "num_classes", 0)
         if self.features.ndim != 2:
             raise ValueError(f"features must be an m x d matrix, got shape {self.features.shape}")
@@ -370,9 +376,12 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     best value is kept. The shuffle and the init share one seeded
     generator, so identical arguments reproduce the record exactly. A
     non-finite loss or parameter marks the run failed and stops it instead
-    of raising. tau and lr must be positive, finite real numbers (not
-    bools), for every loss; they are checked before the model is built.
+    of raising. dataset must be a Dataset (TypeError). tau and lr must be
+    positive, finite real numbers (not bools), for every loss; they are
+    checked before the model is built.
     """
+    if not isinstance(dataset, Dataset):
+        raise TypeError("dataset must be a Dataset")
     loss_name = _as_loss_name(loss_name)
     batch_size = _as_batch_size(batch_size, dataset.m_train)
     seed = _as_count(seed, "seed", 0)
@@ -464,6 +473,8 @@ class SweepConfig:
         if self.dataset not in ("synthetic", "fashion_mnist"):
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if _is_integer(self.seeds):
+            if self.seeds > sys.maxsize:  # tuple() needs range's length as a C ssize_t
+                raise ValueError(f"seeds must be a count of at most {sys.maxsize}, got {self.seeds}")
             self.seeds = range(self.seeds)
         for name, what in (("losses", "loss names"), ("batches", "integers"), ("seeds", "integers")):
             values = getattr(self, name)

@@ -133,6 +133,14 @@ class TestProjectSortedViaIsotonic:
         with pytest.raises(ValueError):
             project_sorted_via_isotonic(np.array([1.0, 2.0]), HypersimplexSpec(2, 1, 1.0))
 
+    def test_sortedness_check_does_not_overflow(self):
+        # consecutive differences of [D, D, -D, -D] overflow, the comparisons do not
+        d = float(np.finfo(np.float64).max)
+        y = project_sorted_via_isotonic(np.array([d, d, -d, -d]), HypersimplexSpec(4, 0, 1.0))
+        assert y.tolist() == [0.0] * 4
+        with pytest.raises(ValueError, match="input must be sorted nonincreasing"):
+            project_sorted_via_isotonic(np.array([-d, d]), HypersimplexSpec(2, 1, 1.0))
+
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("x", [[1e300, 1e300, 0.0], [1e300, 0.0, -1e300]])
     def test_rejects_overflowing_scaled_input(self, k, x):

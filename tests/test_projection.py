@@ -62,7 +62,8 @@ class TestHypersimplexSpec:
         SimpleNamespace(n=4, k=7, tau=1.0),  # y = [1, 1, 1, 1], summing to 4
         SimpleNamespace(n=4, k=2, tau=-1.0),  # the ranking reversed
         (4, 2, 1.0),
-    ], ids=["k-above-n", "negative-tau", "tuple"])
+        None,
+    ], ids=["k-above-n", "negative-tau", "tuple", "none"])
     @pytest.mark.parametrize("x", [[4.0, 3.0, 2.0, 1.0], [4.0, float("nan"), 2.0, 1.0]],
                              ids=["finite", "nan"])
     def test_every_entry_point_rejects_what_is_not_a_spec(self, entry, spec, x):

@@ -1,6 +1,7 @@
 import gzip
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +251,19 @@ class TestDataset:
         with pytest.raises(ValueError) as exc:
             Dataset("d", np.zeros((40, 3)), np.zeros(40, dtype=np.int64), 2, train_idx, test_idx)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("features", [[0.0, 1.0]] * 4),
+        ("features", None),
+        ("train_idx", [0, 1, 2]),
+        ("test_idx", (3,)),
+    ], ids=["features-list", "features-none", "train_idx-list", "test_idx-tuple"])
+    def test_rejects_array_fields_that_are_not_numpy_arrays(self, field, value):
+        kwargs = {**self.base_kwargs(), "train_idx": np.arange(3), "test_idx": np.array([3]),
+                  field: value}
+        with pytest.raises(TypeError) as exc:
+            Dataset(**kwargs)
+        assert str(exc.value) == f"{field} must be a numpy array, got {type(value).__name__}"
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.intp])
     def test_accepts_split_indices_of_any_integer_dtype(self, dtype):
@@ -513,6 +527,12 @@ class TestTrainOne:
         with pytest.raises(ValueError, match="unknown loss"):
             train_one(0, sanity_dataset, "focal", 32, 1.0, 0.1, 1)
 
+    @pytest.mark.parametrize("dataset", [None, "synthetic", {"m_train": 32}])
+    def test_rejects_what_is_not_a_dataset(self, dataset):
+        with pytest.raises(TypeError) as exc:
+            train_one(0, dataset, "ce", 32, 1.0, 0.1, 1)
+        assert str(exc.value) == "dataset must be a Dataset"
+
     def test_rejects_bad_batch_size(self, sanity_dataset):
         with pytest.raises(ValueError, match="batch_size"):
             train_one(0, sanity_dataset, "ce", 0, 1.0, 0.1, 1)
@@ -658,6 +678,11 @@ class TestSweepConfig:
     def test_rejects_empty_seeds(self):
         with pytest.raises(ValueError, match="at least one seed"):
             SweepConfig(seeds=())
+
+    def test_rejects_a_seed_count_too_large_to_list(self):
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(seeds=2**70)
+        assert str(exc.value) == f"seeds must be a count of at most {sys.maxsize}, got {2**70}"
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_tau(self, tau):
