@@ -10,11 +10,11 @@ the Jacobian itself a pure combinatorial object.
 
 import numpy as np
 
-from .projection import ProjectionResult, _all_finite
+from .projection import ProjectionResult, _all_finite, _as_float64
 
 
 def _as_tangent(v, n):
-    v = np.asarray(v, dtype=np.float64)
+    v = _as_float64(v, "tangent")
     if v.shape != (n,):
         raise ValueError(f"tangent has shape {v.shape}, expected ({n},)")
     if not _all_finite(v):

@@ -22,6 +22,7 @@ from .projection import (
     HypersimplexSpec,
     _as_count,
     _classify,
+    _clip_shifted,
     _prefix_sums,
     _sort_desc,
     _theta_from_sorted_numpy,
@@ -79,7 +80,7 @@ def bench_projection(sizes, reps, seed=0):
             u = scale()
             u_sorted = sort()
             prefix = [0.0, *itertools.accumulate(u_sorted)]
-            subtract = lambda: np.subtract(x, theta)
+            shifted, out = x, None
         else:
             scale, sort = (lambda: x / spec.tau), (lambda: _sort_desc(u))
             solve = _theta_from_sorted_numpy
@@ -88,14 +89,10 @@ def bench_projection(sizes, reps, seed=0):
             prefix = _prefix_sums(u_sorted)
             # project subtracts into u's buffer; this one of the same size
             # keeps u intact from rep to rep
-            y = np.empty(n)
-            subtract = lambda: np.subtract(u, theta, out=y)
+            shifted, out = u, np.empty(n)
         k = float(spec.k)
         theta = solve(u_sorted, prefix, k)
-
-        def clip_classify():
-            d = subtract()
-            return _classify(d.clip(0.0, 1.0, out=d), theta, spec)
+        clip_classify = lambda: _classify(_clip_shifted(shifted, theta, out), theta, spec)
         rows.append(BenchRow("project_scale", n, _median_ns(scale, reps)))
         rows.append(BenchRow("project_sort", n, _median_ns(sort, reps)))
         rows.append(BenchRow("project_theta_solve", n, _median_ns(

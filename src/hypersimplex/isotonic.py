@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import _as_scaled, _as_score_vector, _degenerate, _prefix_sums
+from .projection import _as_scaled, _as_score_vector, _clip_shifted, _degenerate, _prefix_sums
 from .projection import _theta_from_sorted_numpy
 
 
@@ -76,4 +76,4 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
         return _degenerate(u, spec).y
     # u is sorted already; at every n the numpy kernel gives project's bits
     theta = _theta_from_sorted_numpy(u, _prefix_sums(u), float(spec.k))
-    return np.clip(u - theta, 0.0, 1.0)
+    return _clip_shifted(u, theta)

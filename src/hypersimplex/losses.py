@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import _center_on_active, loss_grad_from_residual
-from .projection import HypersimplexSpec, _all_finite, _as_positive, project
+from .projection import HypersimplexSpec, _all_finite, _as_float64, _as_positive, project
 
 
 @dataclass
@@ -26,7 +26,7 @@ class LossEval:
 
 
 def _as_scores_labels(scores, labels):
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _as_float64(scores, "scores")
     if scores.ndim != 2:
         raise ValueError(f"scores must be an n x C matrix, got shape {scores.shape}")
     n, C = scores.shape
@@ -99,7 +99,7 @@ def hinge_loss(scores, labels):
 
 
 def _as_binary_target(y, n):
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_float64(y, "target")
     if y.shape != (n,):
         raise ValueError(f"target has shape {y.shape}, expected ({n},)")
     if not np.all((y == 0.0) | (y == 1.0)):

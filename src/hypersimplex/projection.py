@@ -67,6 +67,16 @@ def _as_count(value, name, least):
     return int(value)
 
 
+def _as_float64(a, name):
+    """a as a float64 array: the one cast of an array argument. TypeError,
+    naming name and the dtype, for a complex array or a sequence numpy reads
+    as one, where the cast would drop the imaginary part with a warning."""
+    dtype = a.dtype if isinstance(a, np.ndarray) else np.asarray(a).dtype
+    if dtype.kind == "c":
+        raise TypeError(f"{name} must be real, got dtype {dtype}")
+    return np.asarray(a, dtype=np.float64)
+
+
 def _all_finite(a):
     """True unless an entry of the array a is NaN or infinite (an empty a
     passes); each caller raises its own "... NaN or Inf" message."""
@@ -130,7 +140,7 @@ class ProjectionResult:
 
 def _as_score_vector(x):
     """x as a float64 array, if it is 1-D, non-empty and finite."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "score vector")
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {x.shape}")
     if x.size == 0:
@@ -382,6 +392,22 @@ def _sort_desc(u):
     return u_sorted[::-1]
 
 
+def _clip_shifted(u, theta, out=None):
+    """clip(u - theta, 0, 1) for finite u, written into out if given. As
+    |u - theta| <= DBL_MAX + |theta|, it rounds to a finite float unless
+    |theta| reaches 2^970, half an ulp of DBL_MAX; then it may overflow, but
+    only to an infinity that the clip maps to the bound it should. That O(1)
+    test gates the errstate that silences numpy's warning."""
+    if abs(theta) < 2.0**970:
+        d = np.subtract(u, theta, out=out)
+    else:
+        with np.errstate(over="ignore"):
+            d = np.subtract(u, theta, out=out)
+    # ndarray.clip is the clip ufunc, which keeps -0.0; np.maximum and
+    # np.minimum would turn it into +0.0
+    return d.clip(0.0, 1.0, out=d)
+
+
 def _classify(y, theta, spec):
     at_one = y >= 1.0 - BOUNDARY_TOL
     at_zero = y <= BOUNDARY_TOL
@@ -426,7 +452,7 @@ def project(x, spec):
     messages and their order are those of every other entry point.
     """
     n, k, tau = _as_spec(spec).n, spec.k, spec.tau
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "score vector")
     if x.shape != (n,) or k == 0 or k == n:
         # a wrong shape always fails these checks; the corners read no
         # running sum, so they need all of them
@@ -445,28 +471,24 @@ def project(x, spec):
             if not math.isfinite(prefix[-1]):
                 raise ValueError(_RUNNING_SUM_OVERFLOW)
             theta = _theta_from_sorted_py(u_sorted, prefix, float(k))
-            y = np.subtract(x if tau == 1.0 else x / tau, theta)
+            u = x if tau == 1.0 else x / tau  # finite, as its running sums are
         else:
             with np.errstate(over="ignore"):  # reported below
                 u = x / tau
-            # u_sorted is not read after the solve, but it lives until
-            # project returns: freed before _classify allocates, its pages
-            # go back to the system and fault in again; at n = 2^20 on a
-            # 2-CPU Xeon VM that raised the minor faults per call from
-            # ~2,300 to 3,300-4,300
+            # u_sorted lives until project returns: freed before _classify
+            # allocates, its pages go back to the system and fault in
+            # again; at n = 2^20 on a 2-CPU Xeon VM that raised the minor
+            # faults per call from ~2,300 to 3,300-4,300
             u_sorted = _sort_desc(u)
             theta = _theta_from_sorted_numpy(u_sorted, _prefix_sums(u_sorted), float(k))
-            # u is ours: y goes into its buffer
-            y = np.subtract(u, theta, out=u)
     except ValueError:
         # the last running sum is not finite. NaN or Inf in x and an
         # overflowing x / tau raise their own messages here; otherwise a
         # running sum overflowed
         _as_scaled(x, spec)
         raise
-    # ndarray.clip is the clip ufunc, which keeps -0.0; np.maximum and
-    # np.minimum would turn it into +0.0
-    return _classify(y.clip(0.0, 1.0, out=y), theta, spec)
+    # y goes into u's buffer, unless u is the caller's x
+    return _classify(_clip_shifted(u, theta, None if u is x else u), theta, spec)
 
 
 _BISECT_TOL = 1e-12
@@ -491,7 +513,7 @@ def project_bisect(x, spec):
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        g = float(np.sum(np.clip(u - mid, 0.0, 1.0)))
+        g = float(np.sum(_clip_shifted(u, mid)))
         if abs(g - k) <= _BISECT_TOL:
             break
         if g > k:
@@ -500,21 +522,18 @@ def project_bisect(x, spec):
             hi = mid
 
     # snap: solve theta exactly on the active composition found at mid
-    d = u - mid
-    act = (d > 0.0) & (d < 1.0)
+    y_mid = _clip_shifted(u, mid)
+    act = (y_mid > 0.0) & (y_mid < 1.0)
     m = int(np.count_nonzero(act))
     if m > 0:
-        n_one = int(np.count_nonzero(d >= 1.0))
+        n_one = int(np.count_nonzero(y_mid >= 1.0))
         theta = (n_one + float(np.sum(u[act])) - k) / m
         # fall back to the bisection iterate if snapping misjudged the segment
-        if abs(np.sum(np.clip(u - theta, 0.0, 1.0)) - k) > abs(
-            np.sum(np.clip(u - mid, 0.0, 1.0)) - k
-        ):
+        if abs(np.sum(_clip_shifted(u, theta)) - k) > abs(np.sum(y_mid) - k):
             theta = mid
     else:
         theta = mid
-    y = np.clip(u - theta, 0.0, 1.0)
-    return _classify(y, theta, spec)
+    return _classify(_clip_shifted(u, theta), theta, spec)
 
 
 _NUMPY = SimpleNamespace(name="numpy")

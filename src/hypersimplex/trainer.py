@@ -29,7 +29,7 @@ from .losses import (
     squared_loss,
     zero_one_loss,
 )
-from .projection import _all_finite, _as_count, _as_finite, _as_positive, _is_integer
+from .projection import _all_finite, _as_count, _as_finite, _as_float64, _as_positive, _is_integer
 
 LOSS_NAMES = ("ce", "hinge", "mse", "hypersimplex")
 
@@ -47,9 +47,10 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Finite m x d features, labels as a loss checks them (integers in [0,
-    num_classes)) and an integer train/test index split; checked when built.
-    features, train_idx and test_idx must be numpy arrays (TypeError)."""
+    """Finite real m x d features, stored as float64, labels as a loss checks
+    them (integers in [0, num_classes)) and an integer train/test index split;
+    checked when built. features, train_idx and test_idx must be numpy arrays
+    and the features not complex (TypeError otherwise)."""
 
     name: str
     features: np.ndarray
@@ -64,6 +65,7 @@ class Dataset:
             if not isinstance(value, (np.ndarray, np.generic)):  # a numpy scalar fails below
                 raise TypeError(f"{name} must be a numpy array, got {type(value).__name__}")
         self.num_classes = _as_count(self.num_classes, "num_classes", 0)
+        self.features = _as_float64(self.features, "features")
         if self.features.ndim != 2:
             raise ValueError(f"features must be an m x d matrix, got shape {self.features.shape}")
         m = self.features.shape[0]
@@ -594,8 +596,8 @@ def paired_t_test(a, b):
     difference is nonzero (the runs differ identically on every seed) or
     p = 1 when it is zero, and flags the result degenerate.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = _as_float64(a, "paired samples")
+    b = _as_float64(b, "paired samples")
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired samples must be two equal-length 1-D arrays")
     n = a.size

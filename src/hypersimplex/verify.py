@@ -18,7 +18,9 @@ from .projection import (
     HypersimplexSpec,
     _as_count,
     _as_positive,
+    _as_scaled,
     _classify,
+    _clip_shifted,
     _is_integer,
     hard_topk,
     project,
@@ -37,9 +39,9 @@ def corrupted_project(x, spec):
     """Projection with the threshold nudged off its solve; testing hook for
     the failure paths of the verify command."""
     res = project(x, spec)
-    u = np.asarray(x, dtype=np.float64) / spec.tau
+    u = _as_scaled(x, spec)[1]
     theta = res.theta + 1e-3
-    return _classify(np.clip(u - theta, 0.0, 1.0), theta, spec)
+    return _classify(_clip_shifted(u, theta), theta, spec)
 
 
 def _draws(num, seed):

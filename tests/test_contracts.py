@@ -10,6 +10,7 @@ RuntimeWarning means a check is missing at the owner of that argument.
 import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ from hypersimplex.oracle import brute_force_project, exhaustive_topk, fd_jacobia
 from hypersimplex.trainer import loss_layer
 from hypersimplex.verify import run_gradcheck, run_verify
 
+_X = np.array([4.0, 3.0, 2.0, 1.0])
+_SCORES = np.array([[2.0, 0.5, -1.0], [0.0, 1.0, 0.5], [1.5, -0.5, 0.0], [0.0, 0.0, 2.0]])
+
 MALFORMED = {
     "none": None,
     "true": True,
@@ -57,6 +61,8 @@ MALFORMED = {
     "str-array": np.array(["a", "b"]),
     "object-array": np.array([1.0, None], dtype=object),
     "complex": 1 + 2j,
+    "complex-vector": _X + 0j,
+    "complex-matrix": _SCORES + 1j,
     "2**70": 2**70,
     "1e308": 1e308,
     "empty-array": np.array([]),
@@ -65,10 +71,8 @@ MALFORMED = {
     "0.5": 0.5,
 }
 
-_X = np.array([4.0, 3.0, 2.0, 1.0])
 _SPEC = HypersimplexSpec(4, 2, 1.0)
 _RESULT = project(_X, _SPEC)
-_SCORES = np.array([[2.0, 0.5, -1.0], [0.0, 1.0, 0.5], [1.5, -0.5, 0.0], [0.0, 0.0, 2.0]])
 _LABELS = np.array([0, 1, 0, 2])
 _DATASET = make_synthetic(3, 40, 4, 2.0, 0)
 _TINY_SWEEP = SweepConfig(losses=("ce",), batches=(8,), seeds=1, epochs=1, hidden=4,
@@ -139,6 +143,16 @@ _CASES = [
     if (name, slot, value_id) not in UNBOUNDED
 ]
 
+# every slot whose valid value is a float64 array: a complex array there
+# would lose its imaginary part in the cast to float64
+_REAL_ARRAY_CASES = [
+    pytest.param(name, slot, value_id, id=f"{name}-{slot}-{value_id}")
+    for name, _, kwargs in ENTRY_POINTS
+    for slot, value in kwargs.items()
+    if isinstance(value, np.ndarray) and value.dtype == np.float64
+    for value_id in ("complex-vector", "complex-matrix")
+]
+
 
 def _call(name, **overrides):
     fn, kwargs = _ENTRIES[name]
@@ -160,6 +174,28 @@ def test_malformed_value_returns_or_raises_value_or_type_error(name, slot, value
         _call(name, **{slot: MALFORMED[value_id]})
     except (ValueError, TypeError):
         pass
+
+
+@pytest.mark.parametrize("name,slot,value_id", _REAL_ARRAY_CASES)
+def test_complex_array_raises_type_error(name, slot, value_id):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning among them
+        with pytest.raises(TypeError, match=r"must be real, got dtype complex128$"):
+            _call(name, **{slot: MALFORMED[value_id]})
+
+
+def test_real_array_cases_hold_every_real_array_argument_of_the_api():
+    slots = {(name, slot) for name, slot, _ in (case.values for case in _REAL_ARRAY_CASES)}
+    assert slots == {
+        *((name, "x") for name in ("project", "project_bisect", "brute_force_project",
+                                   "fd_jacobian", "hard_topk", "exhaustive_topk")),
+        ("project_sorted_via_isotonic", "x_sorted_desc"), ("pav_decreasing", "v"),
+        ("jvp", "v"), ("vjp", "u"), ("loss_grad_from_residual", "residual"),
+        ("hypersimplex_loss", "x"), ("hypersimplex_loss", "y"), ("ClassBatch", "logits"),
+        *((name, "scores") for name in ("cross_entropy_loss", "hinge_loss", "squared_loss",
+                                        "zero_one_loss", "loss_layer")),
+        ("paired_t_test", "a"), ("paired_t_test", "b"), ("Dataset", "features"),
+    }
 
 
 def test_every_exemption_names_a_slot_and_a_value():

@@ -309,6 +309,16 @@ class TestBruteForceProject:
         assert cert.max_violation <= 1e-12
         np.testing.assert_allclose(cert.y, [1.0, 0.5, 0.5, 0.0], atol=1e-10)
 
+    def test_breaches_are_summed_in_coordinate_order(self):
+        # all three digits 0 at theta 0 breach by 2^52, 0.5 and 0.5. Left to
+        # right each 0.5 ties half an ulp of 2^52 and rounds to even, so the
+        # total stays 2^52; right to left the halves make 1 first and the
+        # total is 2^52 + 1. The plain enumeration sums left to right
+        total, theta, worst = oracle._score([2.0**52, 0.5, 0.5], [oracle._ZERO] * 3, 0, 0.0, 0.0,
+                                            math.inf, (-math.inf, math.inf))
+        assert (total, theta, worst) == (2.0**52, 0.0, 2.0**52)
+        assert left_sum([0.5, 0.5, 2.0**52]) == 2.0**52 + 1
+
 
 class TestTieHeavyInputs:
     # Coordinates tied at a breakpoint each leave two zero-breach digits, so

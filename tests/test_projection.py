@@ -16,6 +16,7 @@ from hypersimplex import (
 from hypersimplex.isotonic import project_sorted_via_isotonic
 from hypersimplex.oracle import brute_force_project, fd_jacobian
 from hypersimplex.projection import _prefix_sums, _theta_from_sorted_numpy
+from hypersimplex.verify import corrupted_project
 
 
 class TestHypersimplexSpec:
@@ -443,6 +444,62 @@ class TestRunningSumOverflow:
     def test_rejected(self, solver, x):
         with pytest.raises(ValueError, match="running sums of x / tau overflow"):
             solver(np.array(x), HypersimplexSpec(len(x), 1, 0.5))
+
+
+DBL_MAX = float(np.finfo(np.float64).max)
+
+
+def _clip_overflow_cases():
+    # finite x whose x / tau - theta overflows float64 in a clip: in
+    # project's or the isotonic route's last one, or in project_bisect's
+    # clip sums and snap
+    solvers = [("project", project), ("project_bisect", project_bisect),
+               ("isotonic", project_sorted_via_isotonic)]
+    inputs = [([DBL_MAX, 1.0, 1e-6, -DBL_MAX], 3), ([DBL_MAX, 1.0, 0.0, -DBL_MAX], 1),
+              ([DBL_MAX, 1.0, 0.0, -DBL_MAX], 3),
+              *(([DBL_MAX] + [0.0] * (n - 2) + [-DBL_MAX], n - 1) for n in (4, 65, 200))]
+    for (name, solver), (i, (x, k)) in itertools.product(solvers, enumerate(inputs)):
+        yield pytest.param(solver, x, k, id=f"{name}-{i}-n{len(x)}-k{k}")
+
+
+class TestWarningFreeClip:
+    # the overflow goes only to an infinity that the clip maps to the bound
+    # it should, so the solvers return that bound with no warning of any kind
+    @pytest.mark.parametrize("solver, x, k", _clip_overflow_cases())
+    def test_no_warning_and_y_at_the_bounds(self, solver, x, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solver(np.array(x), HypersimplexSpec(len(x), k, 1.0))
+        y = out if isinstance(out, np.ndarray) else out.y
+        assert y.tolist() == [1.0] * k + [0.0] * (len(x) - k)
+
+    # the verify command's corrupted solver clips as project does, and the
+    # finite-difference Jacobian projects perturbed copies of x
+    @pytest.mark.parametrize("hook", [corrupted_project, fd_jacobian])
+    @pytest.mark.parametrize("x", [[DBL_MAX, 1.0, 1e-6, -DBL_MAX], [DBL_MAX, 1.0, 0.0, -DBL_MAX]])
+    def test_no_warning_from_the_hooks(self, hook, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hook(np.array(x), HypersimplexSpec(4, 3, 1.0))
+
+
+class TestComplexInput:
+    # one cast turns an array argument into float64; a complex array, or a
+    # sequence numpy reads as one, is refused before numpy's ComplexWarning
+    @pytest.mark.parametrize("x", [np.array([1 + 2j, 2, 3]), np.array([1, 2, 3], dtype=np.complex64),
+                                   [np.complex128(1), 2.0, 3.0], [1 + 0j, 2.0, 3.0]],
+                             ids=["complex128", "complex64", "numpy-scalars", "python-complex"])
+    @pytest.mark.parametrize("solver", [project, project_bisect, hard_topk])
+    def test_raises_type_error_that_names_the_dtype(self, solver, x):
+        arg = 1 if solver is hard_topk else HypersimplexSpec(3, 1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match=r"^score vector must be real, got dtype complex"):
+                solver(x, arg)
+
+    def test_a_ragged_sequence_keeps_numpys_value_error(self):
+        with pytest.raises(ValueError, match="sequence"):
+            project([[1.0, 2.0], [3.0]], HypersimplexSpec(2, 1, 1.0))
 
 
 class TestProjectBisect:

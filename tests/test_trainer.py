@@ -2,6 +2,7 @@ import gzip
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,23 @@ class TestDataset:
         with pytest.raises(TypeError) as exc:
             Dataset(**kwargs)
         assert str(exc.value) == f"{field} must be a numpy array, got {type(value).__name__}"
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_rejects_complex_features_with_a_type_error_that_names_them(self, dtype):
+        kwargs = {**self.base_kwargs(), "features": np.zeros((4, 2), dtype=dtype),
+                  "train_idx": np.arange(3), "test_idx": np.array([3])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning among them
+            with pytest.raises(TypeError) as exc:
+                Dataset(**kwargs)
+        assert str(exc.value) == f"features must be real, got dtype {np.dtype(dtype)}"
+
+    def test_stores_real_features_as_float64(self):
+        features = np.arange(8, dtype=np.uint8).reshape(4, 2)
+        ds = Dataset(**{**self.base_kwargs(), "features": features},
+                     train_idx=np.arange(3), test_idx=np.array([3]))
+        assert ds.features.dtype == np.float64
+        assert ds.features.tolist() == features.tolist()
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.intp])
     def test_accepts_split_indices_of_any_integer_dtype(self, dtype):
