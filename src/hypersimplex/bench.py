@@ -64,7 +64,7 @@ def bench_projection(sizes, reps, seed=0):
     theta solve, and clip and classify, each on the route project takes at
     that n. Up to _WALK_MAX_N that is a list of Python floats, its sort and
     the scalar walk, then a fresh y; above it x / tau, ``_sort_desc``, the
-    numpy kernel, and y in a buffer the call already owns. The running sums
+    bisected walk, and y in a buffer the call already owns. The running sums
     are in no phase row."""
     _check_sizes_and_reps(sizes, reps)
     rows = []

@@ -74,6 +74,6 @@ def project_sorted_via_isotonic(x_sorted_desc, spec):
         raise ValueError("input must be sorted nonincreasing")
     if spec.k == 0 or spec.k == spec.n:
         return _degenerate(u, spec).y
-    # u is sorted already; at every n the numpy kernel gives project's bits
+    # u is sorted already; at every n the bisected walk gives project's bits
     theta = _theta_from_sorted_numpy(u, _prefix_sums(u), float(spec.k))
     return _clip_shifted(u, theta)

@@ -11,6 +11,7 @@ bisection solver kept for cross-checking.
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -214,149 +215,32 @@ def _prefix_sums(v):
 # value, each event t sees a composition: a coordinates at one, [a, b) active.
 # Then g = a + (P[b] - P[a]) - (b - a) * t is the clip sum at t, exact from the
 # prefix sums P, and the first event where g reaches k yields theta in closed
-# form. The scalar walk ``_theta_from_sorted_py`` does exactly that.
+# form. ``_walk`` is that loop; both solvers run it and differ only in where
+# it starts.
 #
-# The numpy kernel finds the same event without merging the two sequences.
-# Each kind is already in order, and g is nondecreasing along each, so a
-# 128-way search brackets a kind's first event that reaches k and one
-# vectorised pass over the 128 events below the bracket finds it; below
-# n = 128 the pass covers the whole sequence. Saturation j sees a = j, and
-# b, the activations at or above u_j - 1, is one searchsorted. So the
-# saturations are searched first. The activations that sit between
-# saturations j - 1 and j in the walk's order all see a = j, and only they
-# can come ahead of the first saturation j that reaches k. They are searched
-# second, with a fixed; their first hit, if any, is the walk's event, and
-# saturation j otherwise.
-#
-# Rounding makes g nondecreasing only to within ``tol``: the sequential prefix
-# sums are off by at most n * eps * sum|u| each, the per-event arithmetic by a
-# few eps * n * max|u|, and rounding u_j - 1 shifts g by eps * (max|u| + 1) per
-# saturation. So an event whose g lies more than tol below k proves that no
-# earlier event reaches k; a window widens until its first event does.
+# Rounding makes g nondecreasing only to within ``_rounding_bound``: the
+# sequential prefix sums are off by at most n * eps * sum|u| each, the
+# per-event arithmetic by a few eps * n * max|u|, and rounding u_j - 1 shifts
+# g by eps * (max|u| + 1) per saturation. So an event whose g lies more than
+# the bound below k proves that no earlier event reaches k, and the walk may
+# start right after it.
 # ---------------------------------------------------------------------------
 
-_WINDOW = 128
-# a Python float, so that tol and k - tol stay Python floats
+# a Python float, so that the bound and k minus it stay Python floats
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 
 
-def _theta_from_sorted_numpy(u_sorted, prefix, k):
-    """Bracketed breakpoint scan.
-
-    Every event's g is formed with the same arithmetic as the scalar walk,
-    and the window check is exact, so kernel and walk take the same branch
-    even when the clip sum plateaus exactly at k and theta is a whole
-    interval.
-    """
-    n = u_sorted.shape[0]
-    act_asc = np.ascontiguousarray(u_sorted[::-1])
+def _rounding_bound(u_sorted):
     # twice the rounding error of g plus its drift; see the comment above
-    big = max(abs(float(act_asc[0])), abs(float(act_asc[-1])))
-    tol = 8.0 * _UNIT_ROUNDOFF * (n + 2) ** 2 * (big + 1.0)
-
-    def sat_g(idx):
-        # saturations j = idx, with b activations at or above t = u_j - 1
-        t = u_sorted[idx] - 1.0
-        b = n - act_asc.searchsorted(t, "left")
-        m = b - idx
-        base = idx + (prefix[b] - prefix[idx])
-        return base - m * t, (base, m, t)
-
-    j, g, sat, start = _first_hit(sat_g, 0, n, k, tol)
-    m_sat = sat[1]  # saturation j' sees b = j' + m activations
-    # only activations ahead of saturation j (all, if none reaches k) can
-    # come first in the walk
-    hi = j + int(m_sat[j - start]) if j < n else n
-    e = j - 1 - start
-    if j == 0 or g[e] < k - tol:
-        # nothing ahead of saturation j - 1 reaches k either; the activations
-        # between it and saturation j all see a = j
-        lo = j - 1 + int(m_sat[e]) if j > 0 else 0
-        sat_asc = None
-    else:
-        # saturation j - 1 misses k by less than rounding: search them all
-        lo = 0
-        sat_asc = u_sorted[:j][::-1] - 1.0
-
-    def act_g(idx):
-        # activations i = idx, with a saturations strictly above t = u_i
-        t = u_sorted[idx]
-        a = j if sat_asc is None else j - sat_asc.searchsorted(t, "right")
-        m = idx - a
-        base = a + (prefix[idx] - prefix[a])
-        return base - m * t, (base, m, t)
-
-    if lo < hi:
-        i, _, act, start_a = _first_hit(act_g, lo, hi, k, tol)
-        if i < hi:
-            return _theta_at(act, i - start_a, k)
-    if j < n:
-        return _theta_at(sat, j - start, k)
-    # rounding can leave g just under k = n at the final event
-    return float(u_sorted[n - 1] - 1.0)
-
-
-def _first_hit(g_at, floor, hi, k, tol):
-    """First index in [floor, hi) whose event reaches k, or hi if none.
-
-    g_at(idx) gives the clip sums and compositions of one kind's events at
-    the indices idx; no event before floor reaches k. Also returns g and the
-    compositions on a window starting at ``start`` that holds the result
-    and, above floor, the index before it.
-    """
-    lo, end = floor, hi
-    while end - lo > _WINDOW:
-        # the probe at end reached k (end == hi: none did), lo - 1 missed
-        idx = np.linspace(lo, end - 1, _WINDOW).astype(np.int64)
-        hit = g_at(idx)[0] >= k
-        j = int(hit.argmax())
-        if hit[j]:
-            end = int(idx[j])
-        else:
-            j = _WINDOW
-        if j > 0:
-            lo = int(idx[j - 1]) + 1
-    start = max(end - _WINDOW, floor)
-    while True:
-        g, comp = g_at(np.arange(start, min(end + 1, hi)))
-        if start == floor or g[0] < k - tol:
-            break
-        start = max(2 * start - end, floor)
-    hit = g >= k
-    i = int(hit.argmax())
-    return (start + i if hit[i] else hi), g, comp, start
-
-
-def _theta_at(comp, e, k):
-    # theta = (base - k) / m in closed form, base = a + (P[b] - P[a]), on the
-    # segment that event e of a window opens; Python floats round as numpy's do
-    base, m, t = comp
-    m_e = int(m[e])
-    if m_e > 0:
-        return float((float(base[e]) - k) / m_e)
-    return float(t[e]) + 0.0  # see _theta_from_sorted_py
-
-
-# The scalar walk does the arithmetic of the numpy kernel in the same
-# order and returns the same bits, so the tests compare the kernel against
-# it. It is also project's threshold solve up to _WALK_MAX_N, where on a
-# list of Python floats it skips numpy's fixed cost per call.
-def _theta_from_sorted_py(u_sorted, prefix, k):
-    # Two-pointer walk over breakpoints; a = coords pinned at one, [a, b) active.
-    n = len(u_sorted)
-    a = 0
-    b = 0
-    # g <= b up to rounding, and the kernel's tol bounds that rounding; when
-    # tol < 1 no event before the one that activates u_(k-1) reaches k, so
-    # the walk may start there: b = k, and the a saturations that the walk
-    # takes strictly ahead of that activation
-    kb = int(k)
     big = max(abs(u_sorted[0]), abs(u_sorted[-1]))
-    if 0 < kb < n and 8.0 * _UNIT_ROUNDOFF * (n + 2) ** 2 * (big + 1.0) < 1.0:
-        b = kb
-        t = u_sorted[kb - 1]
-        while u_sorted[a] - 1.0 > t:
-            a += 1
+    return 8.0 * _UNIT_ROUNDOFF * (len(u_sorted) + 2) ** 2 * (big + 1.0)
+
+
+def _walk(u_sorted, prefix, k, a, b):
+    """theta at the first event, from the walk's state (a, b) on, whose g
+    reaches k; no event before that state may reach k. a coordinates are at
+    one and [a, b) active. Reads one element of u_sorted or prefix at a time."""
+    n = len(u_sorted)
     while a < n or b < n:
         t_act = u_sorted[b] if b < n else -math.inf
         t_sat = u_sorted[a] - 1.0 if a < n else -math.inf
@@ -374,12 +258,73 @@ def _theta_from_sorted_py(u_sorted, prefix, k):
             b += 1
         else:
             a += 1
-    return u_sorted[n - 1] - 1.0  # unreachable for 0 < k < n
+    # rounding can leave g just under k = n at the final event
+    return u_sorted[n - 1] - 1.0
 
 
-# Largest n whose threshold the scalar walk solves: its loop on Python
-# floats beats the fixed cost of the numpy kernel's ~27 numpy calls up to
-# here, and loses above it once k nears n.
+def _theta_from_sorted_numpy(u_sorted, prefix, k):
+    """The walk on float64 arrays, from a start found by bisection.
+
+    Saturation j sees a = j and the b activations at or above u_j - 1, so
+    the saturations are bisected first for one whose g misses k by more
+    than the rounding bound while saturation j + 1's does not. The
+    activations between those two all see a = j + 1 and are bisected the
+    same way. Memoryviews hand the walk Python floats: its arithmetic, and
+    so its bits, are those of the list route, and no numpy warning fires.
+    """
+    u, P = memoryview(u_sorted), memoryview(prefix)
+    asc = memoryview(u_sorted[::-1])
+    n = len(u)
+    below = k - _rounding_bound(u)
+
+    def sat_b(j):
+        # activations at or above u_j - 1; all n after the last saturation
+        return n - bisect_left(asc, u[j] - 1.0) if j < n else n
+
+    def g(a, b, t):
+        return a + (P[b] - P[a]) - (b - a) * t
+
+    def last_miss(lo, hi, g_at):
+        # lo misses k by more than the bound or precedes the range, hi does
+        # not or follows it; so does the lo returned, with hi = lo + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if g_at(mid) < below:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    j = last_miss(-1, n, lambda j: g(j, sat_b(j), u[j] - 1.0))
+    b = sat_b(j) if j >= 0 else 0
+    i = last_miss(b - 1, sat_b(j + 1), lambda i: g(j + 1, i, u[i]))
+    # the state just after activation i: a = j + 1, b = i + 1
+    return _walk(u, P, k, j + 1, i + 1)
+
+
+# The list route's walk starts where rounding cannot yet reach k. It is
+# project's threshold solve up to _WALK_MAX_N, where on a list of Python
+# floats it skips numpy's fixed cost per call.
+def _theta_from_sorted_py(u_sorted, prefix, k):
+    n = len(u_sorted)
+    a = 0
+    b = 0
+    # g <= b up to the rounding bound; when it is below 1, no event before
+    # the one that activates u_(k-1) reaches k, so the walk may start there:
+    # b = k, and the a saturations that the walk takes strictly ahead of
+    # that activation
+    kb = int(k)
+    if 0 < kb < n and _rounding_bound(u_sorted) < 1.0:
+        b = kb
+        t = u_sorted[kb - 1]
+        while u_sorted[a] - 1.0 > t:
+            a += 1
+    return _walk(u_sorted, prefix, k, a, b)
+
+
+# Largest n that project solves on a list of Python floats, which skips
+# numpy's fixed costs; timed on a 2-CPU Xeon VM, that route stays ahead of
+# the numpy one up to n ~ 100 at every k, so the limit errs low.
 _WALK_MAX_N = 64
 
 
@@ -437,11 +382,10 @@ def project(x, spec):
     computed by sorting the values of x / tau and finding the first
     breakpoint of the piecewise-linear map
     theta -> sum(clip(x_i/tau - theta, 0, 1)) where it reaches k. Up to
-    n = 64 the sort, running sums and a scalar walk run on Python floats;
-    above it numpy's sort and sums feed a 128-way search that brackets the
-    breakpoint and one vectorised pass over about 128 breakpoints that pins
-    it. That split is the only solver choice, and both give the same theta
-    to the bit. O(n log n) total, dominated by the value sort.
+    n = 64 the sort, running sums and breakpoint walk run on Python floats;
+    above it the walk reads numpy's sort and sums from a bisected start.
+    That split is the only solver choice, and both give the same theta to
+    the bit. O(n log n) total, dominated by the value sort.
 
     Raises TypeError if spec is not a HypersimplexSpec, and ValueError for
     a score vector that is not 1-D of length n, holds NaN or Inf, or whose

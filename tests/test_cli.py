@@ -268,7 +268,7 @@ class TestBenchCommand:
         assert [(r.op, r.n) for r in rows] == [(op, n) for n in (32, 64) for op in PROJECT_ROWS]
 
     def test_phase_rows_time_the_route_project_takes(self, monkeypatch):
-        # the numpy sort and kernel run in the phase rows above n = 64 only
+        # the numpy sort and the bisected walk run in the phase rows above n = 64 only
         calls = []
 
         def counted(fn):

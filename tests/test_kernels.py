@@ -9,7 +9,20 @@ from hypersimplex.projection import (
     _prefix_sums,
     _theta_from_sorted_numpy,
     _theta_from_sorted_py,
+    _walk,
 )
+
+DBL_MAX = float(np.finfo(np.float64).max)
+
+PLATEAU_CASES = [
+    (1.0 / 3.0, 3000, 300),
+    (0.1, 4000, 100),
+    # levels from a seeded search, where rounding decides which event of
+    # the tied run is the first to reach k
+    (0.6862394816939799, 3000, 43),
+    (0.11899844600539033, 10000, 2134),
+    (1.843007580560939, 1000, 12),
+]
 
 
 def _center_on_active_py(v, active_idx, n):
@@ -56,8 +69,8 @@ class TestThetaFromSorted:
 
     @pytest.mark.parametrize("n", [65, 1000, 10**4, 10**5])
     def test_large_n_matches_scalar_walk(self, n):
-        # sizes the n < 40 cases above never reach: above n = 128 a 128-way
-        # search brackets each window; inputs sorted and summed as in project
+        # sizes the n < 40 cases above never reach, where the bisected start
+        # lies many events in; inputs sorted and summed as in project
         rng = np.random.default_rng(n)
         inputs = {
             "gaussian": rng.normal(0, 1, n),
@@ -79,15 +92,7 @@ class TestThetaFromSorted:
                     if interior.any():
                         assert abs(th - th_ref) <= 1e-12, case
 
-    @pytest.mark.parametrize("level,n,k", [
-        (1.0 / 3.0, 3000, 300),
-        (0.1, 4000, 100),
-        # found by a seeded search: the first event that reaches k lies
-        # more than a window below the one the bracketing lands on
-        (0.6862394816939799, 3000, 43),
-        (0.11899844600539033, 10000, 2134),
-        (1.843007580560939, 1000, 12),
-    ])
+    @pytest.mark.parametrize("level,n,k", PLATEAU_CASES)
     def test_plateau_at_k_matches_scalar_walk(self, level, n, k):
         # k entries at level + 1 over n - k tied at level: the clip sum equals
         # k along the whole tied run, and rounding moves it to either side
@@ -129,6 +134,47 @@ class TestThetaFromSorted:
         prefix = np.concatenate(([0.0], np.cumsum(u)))
         th = _theta_from_sorted_numpy(u, prefix, 2.0)
         assert th == pytest.approx(0.25, abs=1e-12)
+
+
+class TestStartFreeWalk:
+    # the numpy solver against the walk from its first event, (a, b) = (0, 0),
+    # which needs no rounding bound and no start: theta to the bit, sign too
+    @staticmethod
+    def assert_same_as_start_free_walk(u_sorted, k, case):
+        prefix = _prefix_sums(u_sorted)
+        th = _theta_from_sorted_numpy(u_sorted, prefix, float(k))
+        ref = _walk(u_sorted.tolist(), prefix.tolist(), float(k), 0, 0)
+        assert th.hex() == ref.hex(), case
+
+    @pytest.mark.parametrize("n", [65, 129, 1000, 5000])
+    def test_input_families(self, n):
+        rng = np.random.default_rng(n + 7)
+        body = rng.normal(0, 1, n)
+        inputs = {
+            "gaussian": body,
+            "grid": np.round(body * 4.0) / 4.0,
+            "signed-zeros-and-ones": rng.choice([0.0, -0.0, 1.0, -1.0], n),
+            "offset": 1e3 + body,
+            # running sums that stay finite, differences of them that do not
+            "dbl-max-quarter": np.concatenate(([DBL_MAX / 4], body[: n - 6], [-DBL_MAX / 4] * 5)),
+        }
+        for name, x in inputs.items():
+            for k in (1, n // 4, n // 2, n - 1):
+                self.assert_same_as_start_free_walk(np.sort(x)[::-1], k, (name, k))
+
+    @pytest.mark.parametrize("level,n,k", PLATEAU_CASES)
+    def test_plateaus(self, level, n, k):
+        u = np.full(n, level)
+        u[:k] += 1.0
+        self.assert_same_as_start_free_walk(u, k, level)
+
+    def test_wide_rounding_bound(self):
+        # the bound spans hundreds of events, so the walk from the bisected
+        # start is long
+        n = 2000
+        x = 1e8 + np.random.default_rng(86).normal(0, 1, n)
+        for k in (1, n // 4, n // 2, n - 1):
+            self.assert_same_as_start_free_walk(np.sort(x)[::-1], k, k)
 
 
 class TestPrefixSums:

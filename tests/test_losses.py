@@ -305,7 +305,7 @@ class TestHypersimplexLossMulticlass:
 
     def test_equals_per_column_loop_bit_for_bit(self):
         rng = np.random.default_rng(71)
-        # columns longer than the walk's limit solve theta with the numpy kernel
+        # columns longer than the list route's limit take the numpy route
         assert _WALK_MAX_N < 300
         for n_lo, n_hi, cases in ((2, 40, 150), (40, 301, 60)):
             for i in range(cases):

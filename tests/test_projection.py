@@ -274,7 +274,7 @@ class TestProject:
             )
 
     def test_backends_agree(self):
-        # the projection against the clip at the numpy kernel's threshold;
+        # the projection against the clip at the numpy route's threshold;
         # below n = 40 project itself solves with the scalar walk
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -299,7 +299,7 @@ class TestProject:
     def test_same_bits_as_the_numpy_kernel_route(self):
         # up to n = 64 project divides, sorts, sums and walks on Python
         # floats; its theta and y must equal those of numpy's x / tau, sort,
-        # _prefix_sums and the kernel to the bit
+        # _prefix_sums and the bisected walk to the bit
         # on both sides of that cutoff, for every 0 < k < n. At tau = 1 the
         # grid and the 0.25 plateau tie activations with saturations exactly;
         # at |u| ~ 1e12 the walk's rounding bound reaches 1 from n = 32 on,
@@ -452,12 +452,14 @@ DBL_MAX = float(np.finfo(np.float64).max)
 def _clip_overflow_cases():
     # finite x whose x / tau - theta overflows float64 in a clip: in
     # project's or the isotonic route's last one, or in project_bisect's
-    # clip sums and snap
+    # clip sums and snap; then x whose clip sums at events far from theta
+    # overflow, which the threshold solve must not evaluate with numpy
     solvers = [("project", project), ("project_bisect", project_bisect),
                ("isotonic", project_sorted_via_isotonic)]
     inputs = [([DBL_MAX, 1.0, 1e-6, -DBL_MAX], 3), ([DBL_MAX, 1.0, 0.0, -DBL_MAX], 1),
               ([DBL_MAX, 1.0, 0.0, -DBL_MAX], 3),
-              *(([DBL_MAX] + [0.0] * (n - 2) + [-DBL_MAX], n - 1) for n in (4, 65, 200))]
+              *(([DBL_MAX] + [0.0] * (n - 2) + [-DBL_MAX], n - 1) for n in (4, 65, 200)),
+              *(([DBL_MAX / 4] + [0.0] * (n - 6) + [-DBL_MAX / 4] * 5, 1) for n in (65, 200))]
     for (name, solver), (i, (x, k)) in itertools.product(solvers, enumerate(inputs)):
         yield pytest.param(solver, x, k, id=f"{name}-{i}-n{len(x)}-k{k}")
 
