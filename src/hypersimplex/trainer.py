@@ -371,6 +371,19 @@ def _as_batch_size(batch, m_train):
     return int(batch)
 
 
+def _sgd_step(model, X, y, loss_name, tau, lr):
+    """One SGD step of model on the batch (X, y); False, with the step cut
+    short, when the scores, the loss or the updated parameters are not finite."""
+    scores, cache = model.forward(X)
+    if not _all_finite(scores):
+        return False
+    ev = loss_layer(loss_name, scores, y, tau)
+    if not math.isfinite(ev.value):
+        return False
+    model.sgd_step(model.backward(cache, ev.grad), lr)
+    return model.params_finite()
+
+
 def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     """Train one (loss, batch, seed) cell by plain SGD and record its metrics.
 
@@ -400,38 +413,24 @@ def train_one(seed, dataset, loss_name, batch_size, tau, lr, epochs, hidden=32):
     model = MlpModel.init(X_train.shape[1], hidden, dataset.num_classes, rng)
 
     best_acc = 1.0 - zero_one_loss(model.scores(X_test), y_test)
-    failed = False
+    final_train_loss = float("nan")
     # divergence is detected below via _all_finite checks, so FP overflow along
     # the way is expected and must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             perm = rng.permutation(dataset.m_train)
-            for start in range(0, dataset.m_train, batch_size):
-                idx = perm[start : start + batch_size]
-                scores, cache = model.forward(X_train[idx])
-                if not _all_finite(scores):
-                    failed = True
-                    break
-                ev = loss_layer(loss_name, scores, y_train[idx], tau)
-                if not math.isfinite(ev.value):
-                    failed = True
-                    break
-                model.sgd_step(model.backward(cache, ev.grad), lr)
-                if not model.params_finite():
-                    failed = True
-                    break
-            if failed:
+            batches = (perm[start : start + batch_size]
+                       for start in range(0, dataset.m_train, batch_size))
+            if not all(_sgd_step(model, X_train[idx], y_train[idx], loss_name, tau, lr)
+                       for idx in batches):
                 break
             # finite params can still overflow the forward, so guard the eval
             test_scores = model.scores(X_test)
             if not _all_finite(test_scores):
-                failed = True
                 break
             best_acc = max(best_acc, 1.0 - zero_one_loss(test_scores, y_test))
-
-        # the last sgd_step is unchecked, so divergence can first surface here
-        final_train_loss = float("nan")
-        if not failed:
+        else:
+            # finite parameters can still overflow the forward over the whole train split
             final_scores = model.scores(X_train)
             if _all_finite(final_scores):
                 value = loss_layer(loss_name, final_scores, y_train, tau).value

@@ -206,7 +206,7 @@ def check_hard_limit(num=2000, seed=8, project_fn=project):
         n = int(rng.integers(2, 33))
         k = int(rng.integers(0, n + 1))
         x = rng.normal(0.0, 3.0, n)
-        gap = float(np.min(np.diff(np.sort(x)))) if n > 1 else 1.0
+        gap = float(np.min(np.diff(np.sort(x))))
         if gap < 1e-9:
             continue  # astronomically unlikely collision; skip rather than bias
         tau = 1e-8 * gap * float(rng.uniform(0.1, 1.0))

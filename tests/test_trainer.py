@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hypersimplex import ClassBatch
+from hypersimplex import ClassBatch, trainer
 from hypersimplex.trainer import (
     CSV_HEADER,
     LOSS_NAMES,
@@ -594,6 +594,100 @@ class TestTrainOne:
         ds = make_synthetic(3, 100, 5, 2.0, seed=0, m_train=100)
         with pytest.raises(ValueError, match="empty test split"):
             train_one(0, ds, "ce", 10, 1.0, 0.1, 1)
+
+
+class _Deadline(Exception):
+    """Raised by a patched step, as a timer that stops a run would."""
+
+
+class TestSgdStepSeam:
+    """train_one runs every step through the module global trainer._sgd_step,
+    so a wrapper patched in there sees each step and can end the run."""
+
+    # 960 train examples in batches of 100: nine full batches and one of 60;
+    # at this lr the best test accuracy differs after each of epochs 0-3
+    BATCH, EPOCHS = 100, 3
+    STEPS = math.ceil(960 / BATCH)
+
+    def run(self, dataset, epochs=EPOCHS):
+        return train_one(0, dataset, "ce", self.BATCH, 1.0, 0.005, epochs)
+
+    def patch_step(self, monkeypatch, on_call):
+        """Route step j (from 0) to on_call(j, real_step, args); returns the
+        list of j seen."""
+        real, seen = trainer._sgd_step, []
+
+        def wrapper(*args):
+            seen.append(len(seen))
+            return on_call(seen[-1], real, args)
+
+        monkeypatch.setattr(trainer, "_sgd_step", wrapper)
+        return seen
+
+    def test_sgd_step_reports_a_non_finite_forward_and_leaves_the_model(self):
+        rng = np.random.default_rng(0)
+        model = MlpModel.init(4, 3, 2, rng)
+        X, y = rng.standard_normal((5, 4)), np.array([0, 1, 0, 1, 1])
+        model.W2[:] = np.inf
+        before = [p.copy() for p in (model.W1, model.b1, model.W2, model.b2)]
+        with np.errstate(invalid="ignore"):  # inf * 0 in the forward, as train_one allows
+            assert trainer._sgd_step(model, X, y, "ce", 1.0, 0.1) is False
+        for old, new in zip(before, (model.W1, model.b1, model.W2, model.b2)):
+            assert np.array_equal(old, new)
+
+    def test_a_counting_wrapper_sees_every_step_and_changes_nothing(
+            self, sanity_dataset, monkeypatch):
+        plain = self.run(sanity_dataset)
+        seen = self.patch_step(monkeypatch, lambda j, real, args: real(*args))
+        rec = self.run(sanity_dataset)
+        assert len(seen) == self.EPOCHS * math.ceil(sanity_dataset.m_train / self.BATCH)
+        assert not rec.failed
+        assert rec.best_test_acc.hex() == plain.best_test_acc.hex()
+        assert rec.final_train_loss.hex() == plain.final_train_loss.hex()
+
+    @pytest.mark.parametrize("epoch, offset", [(0, 0), (2, 0), (1, 4)])
+    def test_a_step_that_fails_ends_the_run_with_the_accuracy_seen_so_far(
+            self, sanity_dataset, monkeypatch, epoch, offset):
+        j = epoch * self.STEPS + offset
+        shorter = self.run(sanity_dataset, epochs=j // self.STEPS)
+        seen = self.patch_step(monkeypatch,
+                               lambda i, real, args: False if i == j else real(*args))
+        rec = self.run(sanity_dataset)
+        assert len(seen) == j + 1
+        assert rec.failed and math.isnan(rec.final_train_loss)
+        assert rec.best_test_acc.hex() == shorter.best_test_acc.hex()
+
+    def test_finite_parameters_that_overflow_the_eval_end_the_run(
+            self, sanity_dataset, monkeypatch):
+        untrained = self.run(sanity_dataset, epochs=0)
+
+        def on_call(i, real, args):
+            ok = real(*args)
+            if i == self.STEPS - 1:  # after epoch 0's last step has passed its checks
+                args[0].W2[:] = np.finfo(np.float64).max
+            return ok
+
+        seen = self.patch_step(monkeypatch, on_call)
+        rec = self.run(sanity_dataset)
+        assert len(seen) == self.STEPS
+        assert rec.failed and math.isnan(rec.final_train_loss)
+        assert rec.best_test_acc.hex() == untrained.best_test_acc.hex()
+
+    def test_an_exception_from_a_step_propagates_and_restores_the_error_state(
+            self, sanity_dataset, monkeypatch):
+        j = self.STEPS + 4
+
+        def on_call(i, real, args):
+            if i == j:
+                raise _Deadline
+            return real(*args)
+
+        seen = self.patch_step(monkeypatch, on_call)
+        before = np.geterr()
+        with pytest.raises(_Deadline):
+            self.run(sanity_dataset)
+        assert len(seen) == j + 1
+        assert np.geterr() == before
 
 
 class TestRecordsCsv:
